@@ -104,7 +104,7 @@ main(int argc, char **argv)
                  formatFloat(model.computeSeconds * 1e3, 3),
                  formatFloat(model.exchangeSeconds * 1e3, 3),
                  formatFloat(model.imbalance, 3),
-                 std::to_string(run.steadyStateAllocCount),
+                 std::to_string(run.train.steadyStateAllocCount),
                  formatFloat(run.train.finalTestMetric, 3)});
 
             if (bench::perfEnabled()) {
@@ -122,7 +122,7 @@ main(int argc, char **argv)
                 halo.dramBytes = run.trainHaloBytes;
                 halo.l2ReqBytes = model_bytes;
                 halo.peakWorkspaceBytes = 0;
-                halo.allocCount = run.steadyStateAllocCount;
+                halo.allocCount = run.train.steadyStateAllocCount;
                 bench::perfRecords().push_back(halo);
 
                 bench::PerfRecord compute;

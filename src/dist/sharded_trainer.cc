@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 
-#include "common/logging.hh"
-#include "common/stopwatch.hh"
 #include "common/trace.hh"
 #include "dist/sharded_model.hh"
-#include "nn/checkpoint.hh"
 #include "nn/loss.hh"
 #include "nn/metrics.hh"
 #include "nn/optimizer.hh"
-#include "tensor/alloc_probe.hh"
 
 namespace maxk::dist
 {
@@ -40,86 +35,22 @@ ShardedTrainer::ShardedTrainer(const nn::ModelConfig &cfg,
         trainCount_ += m ? 1 : 0;
 }
 
-double
-ShardedTrainer::evalMetric(const Matrix &logits,
-                           const std::vector<std::uint8_t> &mask) const
-{
-    switch (task_.metric) {
-      case MetricKind::Accuracy:
-        return nn::accuracy(logits, data_.labels, mask);
-      case MetricKind::MicroF1:
-        return nn::microF1(logits, multiTargets_, mask);
-      case MetricKind::RocAuc:
-        return nn::rocAuc(logits, multiTargets_, mask);
-    }
-    return 0.0;
-}
-
 ShardedTrainResult
 ShardedTrainer::run(const nn::TrainConfig &cfg)
 {
     const std::uint32_t ranks = part_.numParts;
-    const std::uint32_t eval_every =
-        std::max<std::uint32_t>(cfg.evalEvery, 1);
     const std::size_t num_classes = task_.numClasses;
     const std::size_t feat_dim = data_.features.cols();
 
-    Stopwatch watch;
+    // Constructed on this thread: arms telemetry (the rank threads read
+    // the global flag) and loads the resume image once; each rank
+    // checks and restores from it inside the world.
+    static const telemetry::Phase span("dist.epoch");
+    nn::EpochLoop loop(cfg, {"ShardedTrainer", "sharded", "sharded.epoch",
+                             span});
     ShardedTrainResult result;
-
-    // Observation only; bitwise-neutral (tests/test_telemetry.cc). The
-    // rank threads read the global armed flag set here.
-    std::optional<telemetry::ArmGuard> arm;
-    if (cfg.telemetry)
-        arm.emplace(true);
     result.finalLogits.resize(data_.graph.numNodes(), num_classes);
-
     std::vector<std::uint64_t> train_halo(ranks, 0), eval_halo(ranks, 0);
-    std::uint64_t steady_allocs = 0;
-
-    // Checkpoint/restore (ISSUE 9). The weight-gradient allReduce keeps
-    // the replicas bitwise identical, so rank 0's params + Adam state
-    // describe every rank; only the dropout streams diverge and are
-    // persisted per rank ("rng.rank<r>", gathered below). The image is
-    // loaded once on this (main) thread; each rank restores from it
-    // inside the world.
-    std::optional<formats::CheckpointStore> store;
-    formats::Checkpoint ck; // rank-0 write image
-    std::optional<formats::Checkpoint> resume_image;
-    std::uint32_t start_epoch = 0;
-    const std::uint32_t ckpt_every =
-        std::max<std::uint32_t>(cfg.checkpointEvery, 1);
-    if (!cfg.checkpointDir.empty()) {
-        store.emplace(cfg.checkpointDir, "sharded", cfg.checkpointKeep);
-        if (!store->epochsOnDisk().empty()) {
-            auto loaded = store->loadLatest();
-            if (loaded) {
-                auto traj = nn::readTrajectories(
-                    loaded.value().checkpoint, result.train);
-                if (traj) {
-                    resume_image = std::move(loaded.value().checkpoint);
-                    start_epoch = static_cast<std::uint32_t>(
-                                      loaded.value().epoch) +
-                                  1;
-                    logMessage(LogLevel::Info,
-                               "ShardedTrainer: resuming after epoch " +
-                                   std::to_string(loaded.value().epoch));
-                } else {
-                    logMessage(LogLevel::Warn,
-                               "ShardedTrainer: checkpoint rejected, "
-                               "starting fresh: " +
-                                   traj.error().describe());
-                    result.train = nn::TrainResult{};
-                }
-            } else {
-                logMessage(LogLevel::Warn,
-                           "ShardedTrainer: no usable checkpoint, "
-                           "starting fresh: " +
-                               loaded.error().describe());
-            }
-        }
-    }
-    const std::uint32_t steady_epoch = start_epoch + 2;
 
     CommWorld world(ranks);
     world.setFaultInjector(cfg.faults);
@@ -148,8 +79,7 @@ ShardedTrainer::run(const nn::TrainConfig &cfg)
 
         ShardedModel model(cfg_, shard);
         HaloExchange exchange(shard);
-        nn::Adam adam(model.inner().params(), cfg.lr, 0.9f, 0.999f,
-                      1e-8f, cfg.weightDecay);
+        nn::Adam adam(model.inner().params(), cfg.lr);
         const nn::ParamRefs params = model.inner().params();
 
         Matrix grad, probs;
@@ -160,45 +90,15 @@ ShardedTrainer::run(const nn::TrainConfig &cfg)
         // Checkpoint gather lanes: each rank's 4 dropout-stream words.
         std::vector<std::vector<std::uint8_t>> ckpt_send(ranks),
             ckpt_recv;
-        std::uint64_t steady_base = 0;
-
-        if (resume_image) {
-            auto ok =
-                nn::readModelState(*resume_image, model.inner(), adam);
-            if (!ok)
-                throw std::runtime_error(
-                    "ShardedTrainer: checkpoint rejected: " +
-                    ok.error().describe());
-            auto words = resume_image->getU64s("rng.rank" +
-                                               std::to_string(r));
-            if (!words || words.value().size() != 4)
-                throw std::runtime_error(
-                    "ShardedTrainer: checkpoint lacks the dropout "
-                    "stream of rank " +
-                    std::to_string(r));
-            model.inner().dropoutRng().setStateWords(
-                words.value().data());
-        }
 
         char rank_tag[16];
         rank_tag[0] = '\0';
         if (telemetry::armed())
             std::snprintf(rank_tag, sizeof(rank_tag), "rank%u", r);
 
-        for (std::uint32_t epoch = start_epoch; epoch < cfg.epochs;
-             ++epoch) {
-            MAXK_TRACE_SCOPE("dist.epoch", rank_tag);
-            // Epoch-aligning barrier: when rank 0 samples the
-            // allocation counter at the steady epoch, every rank has
-            // finished its warm-up epochs.
-            comm.barrier();
-            if (cfg.faults)
-                cfg.faults->maybeThrow("sharded.epoch", r);
-            if (epoch == steady_epoch && r == 0)
-                steady_base = AllocProbe::totalAllocCount();
-
-            const std::uint64_t halo0 =
-                comm.sentBytes(CommChannel::Halo);
+        nn::EpochSteps steps;
+        steps.trainEpoch = [&](std::uint32_t) {
+            const std::uint64_t halo0 = comm.sentBytes(CommChannel::Halo);
             const Matrix *logits_ptr = nullptr;
             {
                 MAXK_TRACE_SCOPE("dist.forward", rank_tag);
@@ -221,98 +121,82 @@ ShardedTrainer::run(const nn::TrainConfig &cfg)
                 MAXK_TRACE_SCOPE("dist.backward", rank_tag);
                 model.backward(comm, exchange, grad);
             }
-            train_halo[r] +=
-                comm.sentBytes(CommChannel::Halo) - halo0;
+            train_halo[r] += comm.sentBytes(CommChannel::Halo) - halo0;
 
             comm.allReduceSum(&loss_buf, 1);
-            if (r == 0)
-                result.train.trainLoss.push_back(loss_buf);
-
             // Fixed-order weight-gradient allReduce keeps the replicas
             // bitwise identical, so the optimizer step needs no
             // further synchronisation.
             for (nn::Param *p : params)
                 comm.allReduceSum(p->grad.data(), p->grad.size());
             adam.step();
+            return loss_buf;
+        };
+        steps.evaluate = [&](std::uint32_t) -> std::pair<double, double> {
+            MAXK_TRACE_SCOPE("dist.eval", rank_tag);
+            const std::uint64_t eval0 = comm.sentBytes(CommChannel::Halo);
+            const Matrix &eval_logits =
+                model.forward(comm, exchange, features, false);
+            eval_halo[r] += comm.sentBytes(CommChannel::Halo) - eval0;
 
-            if (epoch % eval_every == 0 || epoch + 1 == cfg.epochs) {
-                MAXK_TRACE_SCOPE("dist.eval", rank_tag);
-                const std::uint64_t eval0 =
-                    comm.sentBytes(CommChannel::Halo);
-                const Matrix &eval_logits =
-                    model.forward(comm, exchange, features, false);
-                eval_halo[r] +=
-                    comm.sentBytes(CommChannel::Halo) - eval0;
-
-                // Gather the local logits rows to rank 0, which
-                // scatters them into global row order and evaluates
-                // the metrics on the full matrix — identical inputs to
-                // the single-device eval.
-                gather_send[0].resize(std::size_t(num_local) *
-                                      num_classes * sizeof(Float));
-                if (num_local > 0)
-                    std::memcpy(gather_send[0].data(),
-                                eval_logits.row(0),
-                                gather_send[0].size());
-                comm.allToAllv(gather_send, gather_recv,
-                               CommChannel::Gather);
-                if (r == 0) {
-                    for (std::uint32_t src = 0; src < ranks; ++src) {
-                        const auto &rows =
-                            plan_.shards[src].localGlobal;
-                        const std::uint8_t *in =
-                            gather_recv[src].data();
-                        for (NodeId v : rows) {
-                            std::memcpy(result.finalLogits.row(v), in,
-                                        num_classes * sizeof(Float));
-                            in += num_classes * sizeof(Float);
-                        }
-                    }
-                    const double val = evalMetric(result.finalLogits,
-                                                  data_.valMask);
-                    const double test = evalMetric(result.finalLogits,
-                                                   data_.testMask);
-                    result.train.evalEpochs.push_back(epoch);
-                    result.train.valMetric.push_back(val);
-                    result.train.testMetric.push_back(test);
-                    if (val >= result.train.bestValMetric) {
-                        result.train.bestValMetric = val;
-                        result.train.testAtBestVal = test;
-                    }
-                    result.train.finalTestMetric = test;
+            // Gather the local logits rows to rank 0, which scatters
+            // them into global row order and evaluates the metrics on
+            // the full matrix — identical inputs to the single-device
+            // eval.
+            gather_send[0].resize(std::size_t(num_local) * num_classes *
+                                  sizeof(Float));
+            if (num_local > 0)
+                std::memcpy(gather_send[0].data(), eval_logits.row(0),
+                            gather_send[0].size());
+            comm.allToAllv(gather_send, gather_recv, CommChannel::Gather);
+            if (r != 0)
+                return {0.0, 0.0};
+            for (std::uint32_t src = 0; src < ranks; ++src) {
+                const std::uint8_t *in = gather_recv[src].data();
+                for (NodeId v : plan_.shards[src].localGlobal) {
+                    std::memcpy(result.finalLogits.row(v), in,
+                                num_classes * sizeof(Float));
+                    in += num_classes * sizeof(Float);
                 }
             }
+            return nn::evalMetrics(result.finalLogits, task_, data_,
+                                   multiTargets_);
+        };
 
-            if (store && ((epoch + 1) % ckpt_every == 0 ||
-                          epoch + 1 == cfg.epochs)) {
-                // Gather every rank's dropout-stream position; rank 0
-                // writes one image describing the whole world.
-                std::uint64_t words[4];
-                model.inner().dropoutRng().stateWords(words);
-                ckpt_send[0].resize(sizeof(words));
-                std::memcpy(ckpt_send[0].data(), words, sizeof(words));
-                comm.allToAllv(ckpt_send, ckpt_recv,
-                               CommChannel::Gather);
-                if (r == 0) {
-                    nn::writeModelState(ck, model.inner(), adam);
-                    nn::writeTrajectories(ck, result.train);
-                    for (std::uint32_t src = 0; src < ranks; ++src)
-                        ck.set("rng.rank" + std::to_string(src),
-                               ckpt_recv[src].data(),
-                               ckpt_recv[src].size());
-                    ck.setU64("epoch", epoch);
-                    auto saved = store->save(ck, epoch, cfg.faults);
-                    if (!saved)
-                        logMessage(
-                            LogLevel::Warn,
-                            "ShardedTrainer: checkpoint save failed: " +
-                                saved.error().describe());
-                }
-            }
-        }
-        comm.barrier();
-        if (r == 0 && cfg.epochs > steady_epoch)
-            steady_allocs = AllocProbe::totalAllocCount() - steady_base;
+        // The weight-gradient allReduce keeps the replicas bitwise
+        // identical, so rank 0's params + Adam state describe every
+        // rank; only the dropout streams diverge, and each rank's is
+        // persisted as "rng.rank<r>".
+        const std::string rng_section = "rng.rank" + std::to_string(r);
+        steps.checkSections = [&](const formats::Checkpoint &ck) {
+            return ck.checkU64s(rng_section, 4);
+        };
+        steps.readSections = [&](const formats::Checkpoint &ck) {
+            model.inner().dropoutRng().setStateWords(
+                ck.getU64s(rng_section).value().data());
+        };
+        steps.writeSections = [&](formats::Checkpoint *ck) {
+            // Gather every rank's dropout-stream position; rank 0
+            // writes one image describing the whole world.
+            std::uint64_t words[4];
+            model.inner().dropoutRng().stateWords(words);
+            ckpt_send[0].resize(sizeof(words));
+            std::memcpy(ckpt_send[0].data(), words, sizeof(words));
+            comm.allToAllv(ckpt_send, ckpt_recv, CommChannel::Gather);
+            for (std::uint32_t src = 0; ck && src < ranks; ++src)
+                ck->set("rng.rank" + std::to_string(src),
+                        ckpt_recv[src].data(), ckpt_recv[src].size());
+        };
+        steps.barrier = [&] { comm.barrier(); };
+        // One vote per rank: the image is restored only if every rank's
+        // checks passed.
+        steps.allAgree = [&](bool ok) {
+            double rejections = ok ? 0.0 : 1.0;
+            comm.allReduceSum(&rejections, 1);
+            return rejections == 0.0;
+        };
+
+        loop.run(steps, model.inner(), adam, result.train, r, rank_tag);
     });
 
     for (std::uint32_t r = 0; r < ranks; ++r) {
@@ -321,8 +205,6 @@ ShardedTrainer::run(const nn::TrainConfig &cfg)
     }
     result.reduceBytes = world.totalSentBytes(CommChannel::Reduce);
     result.gatherBytes = world.totalSentBytes(CommChannel::Gather);
-    result.steadyStateAllocCount = steady_allocs;
-    result.train.hostSeconds = watch.seconds();
     return result;
 }
 

@@ -19,7 +19,7 @@
  *    comparison — masks are rank-local);
  *  - steady-state epochs (>= 2) perform zero Matrix/CbsrMatrix heap
  *    allocations across ALL ranks, including the loss path
- *    (AllocProbe-enforced, reported in steadyStateAllocCount);
+ *    (AllocProbe-enforced, reported in train.steadyStateAllocCount);
  *  - measured Halo-channel traffic reconciles exactly with the
  *    corrected profileDistributedEpoch model:
  *    trainHaloBytes == exchangedBytes * epochs.
@@ -39,7 +39,8 @@ namespace maxk::dist
 {
 
 /** Outcome of a sharded run: the single-device result fields plus the
- *  gathered logits and the measured communication volumes. */
+ *  gathered logits and the communication volumes measured over the
+ *  epochs of this run() call (counters do not persist in checkpoints). */
 struct ShardedTrainResult
 {
     nn::TrainResult train;  //!< loss/metric trajectories (rank-0 view)
@@ -55,15 +56,13 @@ struct ShardedTrainResult
     /** Halo bytes of the evaluation-only forward passes. */
     std::uint64_t evalHaloBytes = 0;
 
-    /** Reduce-channel bytes (loss + weight-gradient allReduce). */
+    /** Reduce-channel bytes (loss + weight-gradient allReduce, plus
+     *  the resume vote when a checkpoint image is loaded). */
     std::uint64_t reduceBytes = 0;
 
-    /** Gather-channel bytes (evaluation logits gather). */
+    /** Gather-channel bytes (evaluation logits and checkpointed
+     *  dropout streams). */
     std::uint64_t gatherBytes = 0;
-
-    /** Matrix/CbsrMatrix heap allocations, all ranks, epochs >= 2
-     *  (0 once the persistent workspaces are warm). */
-    std::uint64_t steadyStateAllocCount = 0;
 };
 
 /** Partition-parallel trainer over a compiled HaloPlan. */
@@ -82,15 +81,13 @@ class ShardedTrainer
     ShardedTrainer(const nn::ModelConfig &cfg, TrainingData &data,
                    const TrainingTask &task, const Partition &part);
 
-    /** Run the loop; deterministic given cfg.seed (and thread count). */
+    /** Run the shared epoch loop on every rank thread; deterministic
+     *  given the model config's seed (and thread count). */
     ShardedTrainResult run(const nn::TrainConfig &cfg);
 
     const HaloPlan &plan() const { return plan_; }
 
   private:
-    double evalMetric(const Matrix &logits,
-                      const std::vector<std::uint8_t> &mask) const;
-
     nn::ModelConfig cfg_;
     TrainingData &data_;
     const TrainingTask &task_;

@@ -152,6 +152,19 @@ Checkpoint::getU64s(const std::string &name) const
     return getArray<std::uint64_t>(*this, name);
 }
 
+Expected<std::monostate, IoError>
+Checkpoint::checkU64s(const std::string &name, std::size_t count) const
+{
+    auto sec = section(name);
+    if (!sec)
+        return unexpected(std::move(sec.error()));
+    if (sec.value()->size() != count * sizeof(std::uint64_t))
+        return fail(IoErrorCode::CountMismatch, "",
+                    "checkpoint section '" + name + "' must hold " +
+                        std::to_string(count) + " u64 words");
+    return std::monostate{};
+}
+
 void
 Checkpoint::setDoubles(const std::string &name,
                        const std::vector<double> &v)
@@ -198,8 +211,8 @@ Checkpoint::setMatrix(const std::string &name, const Matrix &m)
                     m.size() * sizeof(Float));
 }
 
-Expected<std::monostate, IoError>
-Checkpoint::getMatrix(const std::string &name, Matrix &m) const
+Expected<std::pair<std::uint64_t, std::uint64_t>, IoError>
+Checkpoint::matrixShape(const std::string &name) const
 {
     auto sec = section(name);
     if (!sec)
@@ -215,10 +228,20 @@ Checkpoint::getMatrix(const std::string &name, Matrix &m) const
         return fail(IoErrorCode::CountMismatch, "",
                     "checkpoint matrix section '" + name +
                         "' payload does not match its shape header");
+    return std::pair{rows, cols};
+}
+
+Expected<std::monostate, IoError>
+Checkpoint::getMatrix(const std::string &name, Matrix &m) const
+{
+    auto shape = matrixShape(name);
+    if (!shape)
+        return unexpected(std::move(shape.error()));
+    const auto [rows, cols] = shape.value();
     m.ensureShape(static_cast<std::size_t>(rows),
                   static_cast<std::size_t>(cols));
     if (rows * cols != 0)
-        std::memcpy(m.data(), bytes.data() + 16,
+        std::memcpy(m.data(), section(name).value()->data() + 16,
                     rows * cols * sizeof(Float));
     return std::monostate{};
 }

@@ -78,6 +78,10 @@ class Checkpoint
                  const std::vector<std::uint64_t> &v);
     Expected<std::vector<std::uint64_t>, IoError>
     getU64s(const std::string &name) const;
+    /** Typed error unless section `name` holds exactly `count` u64
+     *  words (no decode). */
+    Expected<std::monostate, IoError>
+    checkU64s(const std::string &name, std::size_t count) const;
 
     void setDoubles(const std::string &name,
                     const std::vector<double> &v);
@@ -91,6 +95,10 @@ class Checkpoint
 
     /** Matrix section: u64 rows, u64 cols, rows*cols f32 payload. */
     void setMatrix(const std::string &name, const Matrix &m);
+    /** (rows, cols) of a matrix section whose payload matches its
+     *  shape header, without decoding it. */
+    Expected<std::pair<std::uint64_t, std::uint64_t>, IoError>
+    matrixShape(const std::string &name) const;
     /** Restores into `m` via ensureShape (no tracked allocation when
      *  the shape already matches). */
     Expected<std::monostate, IoError>

@@ -31,8 +31,7 @@ writeModelState(formats::Checkpoint &ck, GnnModel &model,
 }
 
 Expected<std::monostate, IoError>
-readModelState(const formats::Checkpoint &ck, GnnModel &model,
-               Adam &adam)
+checkModelState(const formats::Checkpoint &ck, GnnModel &model)
 {
     const ParamRefs params = model.params();
 
@@ -46,17 +45,22 @@ readModelState(const formats::Checkpoint &ck, GnnModel &model,
                 " parameter tensors but the model has " +
                 std::to_string(params.size())});
 
-    auto shapes = ck.getU64s("param.shape");
-    if (!shapes)
-        return unexpected(std::move(shapes.error()));
-    if (shapes.value().size() != params.size() * 2)
-        return unexpected(IoError{
-            IoErrorCode::CountMismatch, "", 0,
-            "checkpoint section 'param.shape' length does not match "
-            "its parameter count"});
+    if (auto ok = ck.checkU64s("param.shape", params.size() * 2); !ok)
+        return ok;
+    const std::vector<std::uint64_t> shapes =
+        ck.getU64s("param.shape").value();
     for (std::size_t i = 0; i < params.size(); ++i) {
-        if (shapes.value()[2 * i] != params[i]->value.rows() ||
-            shapes.value()[2 * i + 1] != params[i]->value.cols())
+        const std::pair<std::uint64_t, std::uint64_t> want{
+            params[i]->value.rows(), params[i]->value.cols()};
+        bool same = shapes[2 * i] == want.first &&
+                    shapes[2 * i + 1] == want.second;
+        for (const char *prefix : {"param.", "adam.m.", "adam.v."}) {
+            auto shape = ck.matrixShape(prefix + std::to_string(i));
+            if (!shape)
+                return unexpected(std::move(shape.error()));
+            same = same && shape.value() == want;
+        }
+        if (!same)
             return unexpected(IoError{
                 IoErrorCode::CountMismatch, "", 0,
                 "checkpoint parameter " + std::to_string(i) + " ('" +
@@ -65,36 +69,74 @@ readModelState(const formats::Checkpoint &ck, GnnModel &model,
                     "checkpoint belongs to a different model "
                     "configuration"});
     }
+    if (auto t = ck.getU64("adam.t"); !t)
+        return unexpected(std::move(t.error()));
+    return ck.checkU64s("rng.drop", 4);
+}
 
-    // Shapes verified; restore in place. Moments go through temporary
-    // matrices because Adam owns its state (resume is a one-time path;
-    // the per-epoch save path is the allocation-free one).
+Expected<std::monostate, IoError>
+readModelState(const formats::Checkpoint &ck, GnnModel &model,
+               Adam &adam)
+{
+    if (auto ok = checkModelState(ck, model); !ok)
+        return ok;
+    // Every section checked; restore in place. Moments go through
+    // temporary matrices because Adam owns its state (resume is a
+    // one-time path; the per-epoch save path is the allocation-free
+    // one).
+    const ParamRefs params = model.params();
     std::vector<Matrix> m(params.size()), v(params.size());
     for (std::size_t i = 0; i < params.size(); ++i) {
-        if (auto r = ck.getMatrix("param." + std::to_string(i),
-                                  params[i]->value);
-            !r)
-            return r;
-        if (auto r = ck.getMatrix("adam.m." + std::to_string(i), m[i]);
-            !r)
-            return r;
-        if (auto r = ck.getMatrix("adam.v." + std::to_string(i), v[i]);
-            !r)
-            return r;
+        const std::string idx = std::to_string(i);
+        ck.getMatrix("param." + idx, params[i]->value);
+        ck.getMatrix("adam.m." + idx, m[i]);
+        ck.getMatrix("adam.v." + idx, v[i]);
     }
-    auto t = ck.getU64("adam.t");
-    if (!t)
-        return unexpected(std::move(t.error()));
-    adam.restoreState(m, v, t.value());
+    adam.restoreState(m, v, ck.getU64("adam.t").value());
+    model.dropoutRng().setStateWords(ck.getU64s("rng.drop").value().data());
+    return std::monostate{};
+}
 
-    auto words = ck.getU64s("rng.drop");
-    if (!words)
-        return unexpected(std::move(words.error()));
-    if (words.value().size() != 4)
+void
+writeTrajectories(formats::Checkpoint &ck, const TrainResult &r)
+{
+    ck.setDoubles("traj.trainLoss", r.trainLoss);
+    ck.setDoubles("traj.valMetric", r.valMetric);
+    ck.setDoubles("traj.testMetric", r.testMetric);
+    ck.setU32s("traj.evalEpochs", r.evalEpochs);
+    ck.setDoubles("traj.best", {r.bestValMetric, r.testAtBestVal,
+                                r.finalTestMetric});
+}
+
+Expected<std::monostate, IoError>
+readTrajectories(const formats::Checkpoint &ck, TrainResult &r)
+{
+    auto loss = ck.getDoubles("traj.trainLoss");
+    if (!loss)
+        return unexpected(std::move(loss.error()));
+    auto val = ck.getDoubles("traj.valMetric");
+    if (!val)
+        return unexpected(std::move(val.error()));
+    auto test = ck.getDoubles("traj.testMetric");
+    if (!test)
+        return unexpected(std::move(test.error()));
+    auto epochs = ck.getU32s("traj.evalEpochs");
+    if (!epochs)
+        return unexpected(std::move(epochs.error()));
+    auto best = ck.getDoubles("traj.best");
+    if (!best)
+        return unexpected(std::move(best.error()));
+    if (best.value().size() != 3)
         return unexpected(IoError{
             IoErrorCode::CountMismatch, "", 0,
-            "checkpoint section 'rng.drop' must hold four u64 words"});
-    model.dropoutRng().setStateWords(words.value().data());
+            "checkpoint section 'traj.best' must hold three doubles"});
+    r.trainLoss = std::move(loss.value());
+    r.valMetric = std::move(val.value());
+    r.testMetric = std::move(test.value());
+    r.evalEpochs = std::move(epochs.value());
+    r.bestValMetric = best.value()[0];
+    r.testAtBestVal = best.value()[1];
+    r.finalTestMetric = best.value()[2];
     return std::monostate{};
 }
 

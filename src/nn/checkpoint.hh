@@ -1,13 +1,14 @@
 /**
  * @file
- * Trainer-state <-> Checkpoint section mapping (ISSUE 9).
+ * Trainer-state <-> Checkpoint section mapping.
  *
- * The three training loops (nn::Trainer, sample::SampledTrainer,
- * dist::ShardedTrainer) persist the same core state: parameter values,
- * Adam moments + step count, the dropout RNG stream position, and the
- * metric trajectories accumulated so far. This file centralises the
- * section naming so a checkpoint written by one loop is legible to the
- * tools (maxk-faults) and the tests.
+ * The shared epoch loop (nn/epoch_loop.hh) persists the same core
+ * state for all three engines: parameter values, Adam moments + step
+ * count, the dropout RNG stream position, and the metric trajectories
+ * accumulated so far. Engines add their own sections beside these
+ * (SampledTrainer: "counters"; ShardedTrainer: "rng.rank<r>"). This
+ * file centralises the section naming so a checkpoint written by any
+ * engine is legible to the tools (maxk-faults) and the tests.
  *
  * Sections:
  *   "param.count"  u64   parameter-tensor count (validation)
@@ -17,19 +18,21 @@
  *   "adam.v.<i>"   matrix  second moments
  *   "adam.t"       u64     bias-correction step count
  *   "rng.drop"     u64[4]  dropout stream position
- *   "epoch"        u64     last completed epoch (written by the loops)
+ *   "epoch"        u64     last completed epoch (written by the loop)
  *   "traj.*"       metric trajectories up to the checkpointed epoch
  *
  * Restoring all of the above at an end-of-epoch boundary makes the
  * resumed run bitwise-equal to the uninterrupted one: the parameters,
  * optimizer state, and every RNG stream continue exactly where the
- * checkpointed run left them.
+ * checkpointed run left them. Restores are all or nothing: every
+ * section is checked for presence and shape before any is decoded.
  */
 
 #ifndef MAXK_NN_CHECKPOINT_HH
 #define MAXK_NN_CHECKPOINT_HH
 
 #include "graph/formats/checkpoint.hh"
+#include "nn/epoch_loop.hh"
 #include "nn/model.hh"
 #include "nn/optimizer.hh"
 
@@ -41,62 +44,25 @@ namespace maxk::nn
 void writeModelState(formats::Checkpoint &ck, GnnModel &model,
                      const Adam &adam);
 
-/** Restore params + Adam state + dropout RNG position from `ck`.
- *  Typed error when sections are missing or were written by a model
- *  with different parameter shapes. */
+/** Check that `ck` holds a complete model state for `model`: every
+ *  section present, with the shapes `model` was built with. Changes
+ *  nothing; typed error naming the first bad section. */
+Expected<std::monostate, IoError>
+checkModelState(const formats::Checkpoint &ck, GnnModel &model);
+
+/** Restore params + Adam state + dropout RNG position from `ck`, all
+ *  or nothing: checkModelState first, then decode in place. */
 Expected<std::monostate, IoError>
 readModelState(const formats::Checkpoint &ck, GnnModel &model,
                Adam &adam);
 
-/**
- * Trajectory persistence over any result type with the shared field
- * names (TrainResult, SampledTrainResult). The sharded loop passes its
- * embedded nn::TrainResult.
- */
-template <class R>
-void
-writeTrajectories(formats::Checkpoint &ck, const R &r)
-{
-    ck.setDoubles("traj.trainLoss", r.trainLoss);
-    ck.setDoubles("traj.valMetric", r.valMetric);
-    ck.setDoubles("traj.testMetric", r.testMetric);
-    ck.setU32s("traj.evalEpochs", r.evalEpochs);
-    ck.setDoubles("traj.best", {r.bestValMetric, r.testAtBestVal,
-                                r.finalTestMetric});
-}
+/** Persist the metric trajectories of `r` ("traj.*" sections). */
+void writeTrajectories(formats::Checkpoint &ck, const TrainResult &r);
 
-template <class R>
+/** Restore the trajectories into `r`'s trajectory fields; `r` is left
+ *  untouched when a section is missing or malformed. */
 Expected<std::monostate, IoError>
-readTrajectories(const formats::Checkpoint &ck, R &r)
-{
-    auto loss = ck.getDoubles("traj.trainLoss");
-    if (!loss)
-        return unexpected(std::move(loss.error()));
-    auto val = ck.getDoubles("traj.valMetric");
-    if (!val)
-        return unexpected(std::move(val.error()));
-    auto test = ck.getDoubles("traj.testMetric");
-    if (!test)
-        return unexpected(std::move(test.error()));
-    auto epochs = ck.getU32s("traj.evalEpochs");
-    if (!epochs)
-        return unexpected(std::move(epochs.error()));
-    auto best = ck.getDoubles("traj.best");
-    if (!best)
-        return unexpected(std::move(best.error()));
-    if (best.value().size() != 3)
-        return unexpected(IoError{
-            IoErrorCode::CountMismatch, "", 0,
-            "checkpoint section 'traj.best' must hold three doubles"});
-    r.trainLoss = std::move(loss.value());
-    r.valMetric = std::move(val.value());
-    r.testMetric = std::move(test.value());
-    r.evalEpochs = std::move(epochs.value());
-    r.bestValMetric = best.value()[0];
-    r.testAtBestVal = best.value()[1];
-    r.finalTestMetric = best.value()[2];
-    return std::monostate{};
-}
+readTrajectories(const formats::Checkpoint &ck, TrainResult &r);
 
 } // namespace maxk::nn
 

@@ -113,4 +113,22 @@ rocAuc(const Matrix &logits, const Matrix &targets,
     return u / (static_cast<double>(num_pos) * num_neg);
 }
 
+std::pair<double, double>
+evalMetrics(const Matrix &logits, const TrainingTask &task,
+            const TrainingData &data, const Matrix &multi_targets)
+{
+    const auto metric = [&](const std::vector<std::uint8_t> &mask) {
+        switch (task.metric) {
+          case MetricKind::Accuracy:
+            return accuracy(logits, data.labels, mask);
+          case MetricKind::MicroF1:
+            return microF1(logits, multi_targets, mask);
+          case MetricKind::RocAuc:
+            return rocAuc(logits, multi_targets, mask);
+        }
+        return 0.0;
+    };
+    return {metric(data.valMask), metric(data.testMask)};
+}
+
 } // namespace maxk::nn

@@ -8,8 +8,10 @@
 #define MAXK_NN_METRICS_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "graph/registry.hh"
 #include "tensor/matrix.hh"
 
 namespace maxk::nn
@@ -33,6 +35,17 @@ double microF1(const Matrix &logits, const Matrix &targets,
  */
 double rocAuc(const Matrix &logits, const Matrix &targets,
               const std::vector<std::uint8_t> &mask);
+
+/**
+ * (val, test) values of the task's headline metric over full-graph
+ * `logits`: the evaluation every training engine reports.
+ * `multi_targets` holds multiLabelTargets(data.labels) when
+ * task.multiLabel.
+ */
+std::pair<double, double> evalMetrics(const Matrix &logits,
+                                      const TrainingTask &task,
+                                      const TrainingData &data,
+                                      const Matrix &multi_targets);
 
 } // namespace maxk::nn
 

@@ -1,10 +1,7 @@
 #include "nn/trainer.hh"
 
 #include <algorithm>
-#include <optional>
 
-#include "common/logging.hh"
-#include "common/stopwatch.hh"
 #include "common/trace.hh"
 #include "core/linear_backward_cbsr.hh"
 #include "core/maxk.hh"
@@ -13,7 +10,6 @@
 #include "kernels/gemm_cost.hh"
 #include "kernels/registry.hh"
 #include "kernels/spmm_gnna.hh"
-#include "nn/checkpoint.hh"
 #include "nn/loss.hh"
 #include "nn/metrics.hh"
 #include "nn/optimizer.hh"
@@ -199,179 +195,52 @@ Trainer::Trainer(GnnModel &model, TrainingData &data,
         multiTargets_ = multiLabelTargets(data_.labels, task_.numClasses);
 }
 
-double
-Trainer::evalMetric(const Matrix &logits,
-                    const std::vector<std::uint8_t> &mask) const
-{
-    switch (task_.metric) {
-      case MetricKind::Accuracy:
-        return accuracy(logits, data_.labels, mask);
-      case MetricKind::MicroF1:
-        return microF1(logits, multiTargets_, mask);
-      case MetricKind::RocAuc:
-        return rocAuc(logits, multiTargets_, mask);
-    }
-    return 0.0;
-}
-
-void
-Trainer::saveCheckpoint(formats::Checkpoint &ck,
-                        const formats::CheckpointStore &store,
-                        const Adam &adam, const TrainResult &result,
-                        std::uint32_t epoch, FaultInjector *faults)
-{
-    writeModelState(ck, model_, adam);
-    writeTrajectories(ck, result);
-    ck.setU64("epoch", epoch);
-    auto saved = store.save(ck, epoch, faults);
-    if (!saved)
-        logMessage(LogLevel::Warn, "Trainer: checkpoint save failed: " +
-                                       saved.error().describe());
-}
-
-std::uint32_t
-Trainer::resumeFrom(const formats::CheckpointStore &store, Adam &adam,
-                    TrainResult &result)
-{
-    if (store.epochsOnDisk().empty())
-        return 0;
-    auto loaded = store.loadLatest();
-    if (!loaded) {
-        logMessage(LogLevel::Warn,
-                   "Trainer: no usable checkpoint, starting fresh: " +
-                       loaded.error().describe());
-        return 0;
-    }
-    const formats::Checkpoint &ck = loaded.value().checkpoint;
-    auto restored = readModelState(ck, model_, adam);
-    if (!restored) {
-        logMessage(LogLevel::Warn,
-                   "Trainer: checkpoint rejected, starting fresh: " +
-                       restored.error().describe());
-        return 0;
-    }
-    if (auto r = readTrajectories(ck, result); !r) {
-        logMessage(LogLevel::Warn,
-                   "Trainer: checkpoint rejected, starting fresh: " +
-                       r.error().describe());
-        return 0;
-    }
-    logMessage(LogLevel::Info,
-               "Trainer: resuming after epoch " +
-                   std::to_string(loaded.value().epoch));
-    return static_cast<std::uint32_t>(loaded.value().epoch) + 1;
-}
-
 TrainResult
 Trainer::run(const TrainConfig &cfg)
 {
     checkInvariant(model_.config().outDim == task_.numClasses,
                    "Trainer: model outDim != task classes");
-    // evalEvery == 0 would divide by zero in the eval-cadence check
-    // below; treat it as "evaluate every epoch" rather than aborting a
-    // long run on a config slip.
-    const std::uint32_t eval_every =
-        std::max<std::uint32_t>(cfg.evalEvery, 1);
-    if (cfg.evalEvery == 0)
-        logMessage(LogLevel::Warn,
-                   "Trainer: evalEvery=0 clamped to 1 (every epoch)");
-    const std::uint32_t ckpt_every =
-        std::max<std::uint32_t>(cfg.checkpointEvery, 1);
-    Stopwatch watch;
-    TrainResult result;
+    static const telemetry::Phase span("train.epoch");
+    EpochLoop loop(cfg, {"Trainer", "trainer", "trainer.epoch", span});
+    Adam adam(model_.params(), cfg.lr);
+    Matrix grad, probs;  // loss workspaces, warm after one epoch
 
-    // Observation only: arming telemetry must not perturb training
-    // (numerics never read telemetry state; bitwise-equality pinned in
-    // tests/test_telemetry.cc).
-    std::optional<telemetry::ArmGuard> arm;
-    telemetry::TelemetryReport epoch_report;
-    if (cfg.telemetry) {
-        arm.emplace(true);
-        epoch_report = telemetry::TelemetryReport::capture();
-    }
-
-    Adam adam(model_.params(), cfg.lr, 0.9f, 0.999f, 1e-8f,
-              cfg.weightDecay);
-
-    std::optional<formats::CheckpointStore> store;
-    formats::Checkpoint ck;
-    std::uint32_t start_epoch = 0;
-    if (!cfg.checkpointDir.empty()) {
-        store.emplace(cfg.checkpointDir, "trainer", cfg.checkpointKeep);
-        start_epoch = resumeFrom(*store, adam, result);
-    }
-
-    for (std::uint32_t epoch = start_epoch; epoch < cfg.epochs;
-         ++epoch) {
-        MAXK_TRACE_SCOPE("train.epoch");
-        if (cfg.faults)
-            cfg.faults->maybeThrow("trainer.epoch");
-        LossResult loss;
+    EpochSteps steps;
+    steps.trainEpoch = [&](std::uint32_t) {
         const Matrix *logits = nullptr;
         {
             MAXK_TRACE_SCOPE("train.forward");
             logits = &model_.forward(data_.graph, data_.features, true);
         }
+        double loss = 0.0;
         {
             MAXK_TRACE_SCOPE("train.loss");
+            // norm_count 0: the mean over the masked training nodes.
             loss = task_.multiLabel
-                       ? sigmoidBce(*logits, multiTargets_,
-                                    data_.trainMask)
-                       : softmaxCrossEntropy(*logits, data_.labels,
-                                             data_.trainMask);
+                       ? sigmoidBceInto(*logits, multiTargets_,
+                                        data_.trainMask, 0, grad)
+                       : softmaxCrossEntropyInto(*logits, data_.labels,
+                                                 data_.trainMask, 0, grad,
+                                                 probs);
         }
-        result.trainLoss.push_back(loss.loss);
         {
             MAXK_TRACE_SCOPE("train.backward");
-            model_.backward(data_.graph, loss.gradLogits);
+            model_.backward(data_.graph, grad);
         }
         {
             MAXK_TRACE_SCOPE("train.optimizer");
             adam.step();
         }
+        return loss;
+    };
+    steps.evaluate = [&](std::uint32_t) {
+        MAXK_TRACE_SCOPE("train.eval");
+        return evalMetrics(model_.forward(data_.graph, data_.features, false),
+                           task_, data_, multiTargets_);
+    };
 
-        if (epoch % eval_every == 0 || epoch + 1 == cfg.epochs) {
-            MAXK_TRACE_SCOPE("train.eval");
-            const Matrix &eval_logits =
-                model_.forward(data_.graph, data_.features, false);
-            const double val = evalMetric(eval_logits, data_.valMask);
-            const double test = evalMetric(eval_logits, data_.testMask);
-            result.evalEpochs.push_back(epoch);
-            result.valMetric.push_back(val);
-            result.testMetric.push_back(test);
-            if (val >= result.bestValMetric) {
-                result.bestValMetric = val;
-                result.testAtBestVal = test;
-            }
-            result.finalTestMetric = test;
-            if (cfg.verbose) {
-                logMessage(LogLevel::Info,
-                           "epoch " + std::to_string(epoch) + " loss " +
-                               std::to_string(loss.loss) + " val " +
-                               std::to_string(val) + " test " +
-                               std::to_string(test));
-            }
-        }
-
-        if (store &&
-            ((epoch + 1) % ckpt_every == 0 || epoch + 1 == cfg.epochs))
-            saveCheckpoint(ck, *store, adam, result, epoch, cfg.faults);
-
-        if (cfg.telemetry) {
-            // Per-epoch TelemetryReport: counters that advanced this
-            // epoch, at Debug so steady runs stay quiet by default.
-            telemetry::TelemetryReport now =
-                telemetry::TelemetryReport::capture();
-            const std::string delta = now.deltaText(epoch_report);
-            if (!delta.empty())
-                logMessage(LogLevel::Debug,
-                           "telemetry epoch " + std::to_string(epoch) +
-                               " deltas:\n" + delta);
-            epoch_report = std::move(now);
-        }
-    }
-
-    result.hostSeconds = watch.seconds();
+    TrainResult result;
+    loop.run(steps, model_, adam, result);
     return result;
 }
 

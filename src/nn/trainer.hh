@@ -1,6 +1,6 @@
 /**
  * @file
- * Full-batch training loop plus the simulated epoch-time profiler.
+ * Full-batch trainer plus the simulated epoch-time profiler.
  *
  * The two concerns are deliberately decoupled (DESIGN.md Sec. 1):
  *  - Trainer runs the fast functional path to measure accuracy /
@@ -15,27 +15,15 @@
 #ifndef MAXK_NN_TRAINER_HH
 #define MAXK_NN_TRAINER_HH
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "common/fault.hh"
 #include "graph/csr.hh"
 #include "graph/edge_groups.hh"
 #include "graph/registry.hh"
 #include "kernels/sim_options.hh"
+#include "nn/epoch_loop.hh"
 #include "nn/model.hh"
-
-namespace maxk::formats
-{
-class Checkpoint;
-class CheckpointStore;
-} // namespace maxk::formats
 
 namespace maxk::nn
 {
-
-class Adam;
 
 /** Which baseline SpMM implementation a profile charges (Fig. 9 axes). */
 enum class BaselineKernel { CuSparse, Gnna };
@@ -73,55 +61,6 @@ EpochTiming profileEpoch(const ModelConfig &cfg, const CsrGraph &a,
                          const SimOptions &opt,
                          BaselineKernel baseline = BaselineKernel::CuSparse);
 
-/** Training hyper-parameters (Table 3 analogue). */
-struct TrainConfig
-{
-    std::uint32_t epochs = 100;
-    Float lr = 0.01f;
-    Float weightDecay = 0.0f;
-    std::uint32_t evalEvery = 1;  //!< metric sampling cadence (0 is
-                                  //!< clamped to 1: eval every epoch)
-    std::uint64_t seed = 7;
-    bool verbose = false;
-
-    /**
-     * Checkpoint/restore (ISSUE 9). When checkpointDir is non-empty the
-     * trainer writes a rotated end-of-epoch checkpoint every
-     * checkpointEvery epochs (keeping checkpointKeep images) and, on
-     * the next run(), resumes from the newest verifiable image — with
-     * bitwise-identical final state to the uninterrupted run.
-     */
-    std::string checkpointDir;
-    std::uint32_t checkpointEvery = 1;
-    std::uint32_t checkpointKeep = 2;
-
-    /** Optional fault injector (hook sites "trainer.epoch",
-     *  "checkpoint.write"). Not owned. */
-    FaultInjector *faults = nullptr;
-
-    /**
-     * Arm the telemetry subsystem for the duration of the run and log
-     * a TelemetryReport counter-delta summary per epoch (ISSUE 10).
-     * Observation only: the trained state is bitwise-identical with
-     * the knob on or off (pinned by tests/test_telemetry.cc).
-     */
-    bool telemetry = false;
-};
-
-/** Outcome of a training run. */
-struct TrainResult
-{
-    std::vector<double> trainLoss;    //!< one per epoch
-    std::vector<double> valMetric;    //!< one per eval point
-    std::vector<double> testMetric;   //!< one per eval point
-    std::vector<std::uint32_t> evalEpochs;
-
-    double bestValMetric = 0.0;
-    double testAtBestVal = 0.0;   //!< Table 5's reported number
-    double finalTestMetric = 0.0;
-    double hostSeconds = 0.0;     //!< wall clock of the whole run
-};
-
 /** Full-batch trainer for one model on one training twin. */
 class Trainer
 {
@@ -135,27 +74,11 @@ class Trainer
      */
     Trainer(GnnModel &model, TrainingData &data, const TrainingTask &task);
 
-    /** Run the loop; deterministic given cfg.seed. */
+    /** Run the shared epoch loop with one full-graph step per epoch;
+     *  deterministic given the model config's seed. */
     TrainResult run(const TrainConfig &cfg);
 
   private:
-    double evalMetric(const Matrix &logits,
-                      const std::vector<std::uint8_t> &mask) const;
-
-    /** Write the end-of-`epoch` state into `store` (rotated image). */
-    void saveCheckpoint(formats::Checkpoint &ck,
-                        const formats::CheckpointStore &store,
-                        const Adam &adam, const TrainResult &result,
-                        std::uint32_t epoch, FaultInjector *faults);
-
-    /**
-     * Restore from the newest verifiable image in `store` (falling back
-     * past corrupt ones). Returns the epoch to resume at (0 when no
-     * usable checkpoint exists); fills `result`'s trajectories.
-     */
-    std::uint32_t resumeFrom(const formats::CheckpointStore &store,
-                             Adam &adam, TrainResult &result);
-
     GnnModel &model_;
     TrainingData &data_;
     const TrainingTask &task_;

@@ -4,14 +4,11 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "common/stopwatch.hh"
 #include "common/trace.hh"
-#include "nn/checkpoint.hh"
 #include "nn/gnn_layer.hh"
 #include "nn/loss.hh"
 #include "nn/metrics.hh"
 #include "sample/pipeline.hh"
-#include "tensor/alloc_probe.hh"
 
 namespace maxk::sample
 {
@@ -49,21 +46,6 @@ SampledTrainer::SampledTrainer(nn::GnnModel &model, TrainingData &data,
                        task_.multiLabel ? &multiTargets_ : nullptr);
 }
 
-double
-SampledTrainer::evalMetric(const Matrix &logits,
-                           const std::vector<std::uint8_t> &mask) const
-{
-    switch (task_.metric) {
-      case MetricKind::Accuracy:
-        return nn::accuracy(logits, data_.labels, mask);
-      case MetricKind::MicroF1:
-        return nn::microF1(logits, multiTargets_, mask);
-      case MetricKind::RocAuc:
-        return nn::rocAuc(logits, multiTargets_, mask);
-    }
-    return 0.0;
-}
-
 void
 SampledTrainer::syncEvalParams()
 {
@@ -94,218 +76,130 @@ SampledTrainer::trainStep(const Minibatch &mb, nn::Adam &adam)
     return mean_loss;
 }
 
+void
+SampledTrainer::produce(std::uint32_t epoch, std::uint32_t b,
+                        Minibatch &slot)
+{
+    // The epoch seed order is computed by whoever produces batch 0 of
+    // that epoch — in pipelined mode that is the producer thread, which
+    // is the only reader/writer of order_/seedsWs_/batchWs_.
+    if (b == 0)
+        sampler_.epochOrder(epoch, trainIds_, order_);
+    const std::uint32_t batch_size = sampler_.config().batchSize;
+    const std::size_t lo = b * static_cast<std::size_t>(batch_size);
+    const std::size_t hi =
+        std::min<std::size_t>(lo + batch_size, order_.size());
+    seedsWs_.assign(order_.begin() + lo, order_.begin() + hi);
+    {
+        MAXK_TRACE_SCOPE("sample.draw");
+        sampler_.sample(epoch, b, seedsWs_, batchWs_);
+    }
+    {
+        MAXK_TRACE_SCOPE("sample.extract");
+        extractor_->extract(batchWs_, slot);
+    }
+}
+
 SampledTrainResult
 SampledTrainer::run(const SampledTrainConfig &cfg)
 {
     checkInvariant(model_.config().outDim == task_.numClasses,
                    "SampledTrainer: model outDim != task classes");
-    const std::uint32_t eval_every =
-        std::max<std::uint32_t>(cfg.evalEvery, 1);
-    if (cfg.evalEvery == 0)
-        logMessage(LogLevel::Warn,
-                   "SampledTrainer: evalEvery=0 clamped to 1");
-    const std::uint32_t depth = std::max<std::uint32_t>(cfg.queueDepth, 1);
-
-    Stopwatch watch;
+    static const telemetry::Phase span("sample.epoch");
+    nn::EpochLoop loop(cfg, {"SampledTrainer", "sampled",
+                             "sampled_trainer.epoch", span});
+    nn::Adam adam(model_.params(), cfg.lr);
     SampledTrainResult result;
-
-    // Observation only; bitwise-neutral (tests/test_telemetry.cc).
-    std::optional<telemetry::ArmGuard> arm;
-    if (cfg.telemetry)
-        arm.emplace(true);
-
-    nn::Adam adam(model_.params(), cfg.lr, 0.9f, 0.999f, 1e-8f,
-                  cfg.weightDecay);
+    const std::uint32_t depth = std::max<std::uint32_t>(cfg.queueDepth, 1);
+    const std::uint32_t nb = sampler_.numBatches(trainIds_.size());
 
     // Slot workspaces persist across epochs; the pipeline recycles them,
     // so after warmup no stage allocates tracked storage.
     std::vector<Minibatch> slots(cfg.pipeline ? depth + 1 : 1);
-
-    const std::uint32_t batch_size = sampler_.config().batchSize;
-    const std::uint32_t nb = sampler_.numBatches(trainIds_.size());
-    std::uint64_t alloc_base = 0;
-
-    // Checkpoint/resume: the saved epoch shifts the global produce
-    // index, so the producer regenerates exactly the keyed sample
-    // streams the uninterrupted run would have used from start_epoch on.
-    std::optional<formats::CheckpointStore> store;
-    formats::Checkpoint ck;
-    std::uint32_t start_epoch = 0;
-    if (!cfg.checkpointDir.empty()) {
-        store.emplace(cfg.checkpointDir, "sampled",
-                      cfg.checkpointKeep);
-        if (!store->epochsOnDisk().empty()) {
-            auto loaded = store->loadLatest();
-            if (loaded) {
-                const formats::Checkpoint &image =
-                    loaded.value().checkpoint;
-                auto ok = nn::readModelState(image, model_, adam);
-                if (ok)
-                    if (auto r = nn::readTrajectories(image, result); !r)
-                        ok = r;
-                if (ok) {
-                    if (auto counters = image.getU64s("counters");
-                        counters && counters.value().size() == 3) {
-                        result.batchesTrained = counters.value()[0];
-                        result.sampledNodes = counters.value()[1];
-                        result.sampledEdges = counters.value()[2];
-                    }
-                    start_epoch = static_cast<std::uint32_t>(
-                                      loaded.value().epoch) +
-                                  1;
-                    logMessage(LogLevel::Info,
-                               "SampledTrainer: resuming after epoch " +
-                                   std::to_string(loaded.value().epoch));
-                } else {
-                    logMessage(LogLevel::Warn,
-                               "SampledTrainer: checkpoint rejected, "
-                               "starting fresh: " +
-                                   ok.error().describe());
-                    result = SampledTrainResult{};
-                }
-            } else {
-                logMessage(LogLevel::Warn,
-                           "SampledTrainer: no usable checkpoint, "
-                           "starting fresh: " +
-                               loaded.error().describe());
-            }
-        }
-    }
-
     // Cross-epoch production: one produce function maps a GLOBAL batch
-    // index to (epoch, batch), so a single producer thread can run ahead
-    // across epoch boundaries (it samples epoch e+1 while the consumer
-    // still trains and evaluates epoch e). The epoch seed order is
-    // computed by whoever produces batch 0 of that epoch — in pipelined
-    // mode that is the producer thread, which is the only reader/writer
-    // of order_/seedsWs_/batchWs_; the consumer touches none of them.
-    auto produce = [&](Minibatch &slot, std::size_t idx) {
-        const std::size_t epoch = start_epoch + idx / nb;
-        const std::size_t b = idx % nb;
-        if (epoch >= cfg.epochs)
-            return false;
-        if (b == 0)
-            sampler_.epochOrder(static_cast<std::uint32_t>(epoch),
-                                trainIds_, order_);
-        const std::size_t lo = b * static_cast<std::size_t>(batch_size);
-        const std::size_t hi =
-            std::min<std::size_t>(lo + batch_size, order_.size());
-        seedsWs_.assign(order_.begin() + lo, order_.begin() + hi);
-        {
-            MAXK_TRACE_SCOPE("sample.draw");
-            sampler_.sample(static_cast<std::uint32_t>(epoch),
-                            static_cast<std::uint32_t>(b), seedsWs_,
-                            batchWs_);
-        }
-        {
-            MAXK_TRACE_SCOPE("sample.extract");
-            extractor_->extract(batchWs_, slot);
-        }
-        return true;
+    // index to (epoch, batch), counted from the first epoch this run
+    // trains (after any resume, so the keyed sample streams line up),
+    // and a single producer thread runs ahead across epoch boundaries
+    // (it samples epoch e+1 while the consumer still trains and
+    // evaluates epoch e). Started by the first trainEpoch; declared
+    // after `slots` so it joins before they go.
+    std::optional<Pipeline<Minibatch>> pipe;
+    auto start_pipeline = [&](std::uint32_t first) {
+        pipe.emplace(depth, slots, [&, first](Minibatch &slot,
+                                              std::size_t idx) {
+            const std::size_t epoch = first + idx / nb;
+            if (epoch >= cfg.epochs)
+                return false;
+            produce(static_cast<std::uint32_t>(epoch),
+                    static_cast<std::uint32_t>(idx % nb), slot);
+            return true;
+        });
+        ++result.producerSpawns;
     };
 
-    std::optional<Pipeline<Minibatch>> pipe;
-    if (cfg.pipeline) {
-        pipe.emplace(depth, slots, produce);
-        ++result.producerSpawns;
-    }
-
-    std::size_t sync_idx = 0;
-    const std::uint32_t steady_epoch = start_epoch + 2;
-    for (std::uint32_t epoch = start_epoch; epoch < cfg.epochs;
-         ++epoch) {
-        MAXK_TRACE_SCOPE("sample.epoch");
-        if (cfg.faults)
-            cfg.faults->maybeThrow("sampled_trainer.epoch");
-        if (epoch == steady_epoch)
-            alloc_base = AllocProbe::totalAllocCount();
-
+    nn::EpochSteps steps;
+    steps.trainEpoch = [&](std::uint32_t epoch) {
+        if (cfg.pipeline && !pipe)
+            start_pipeline(epoch);
         double loss_sum = 0.0;
         std::size_t seed_sum = 0;
-        auto consume = [&](const Minibatch &mb) {
-            {
-                MAXK_TRACE_SCOPE("sample.train_step");
-                loss_sum += trainStep(mb, adam) *
-                            static_cast<double>(mb.numSeeds);
-            }
-            seed_sum += mb.numSeeds;
-            ++result.batchesTrained;
-            result.sampledNodes += mb.numNodes;
-            result.sampledEdges += mb.graph.numEdges();
-            if (telemetry::armed()) {
-                telemetry::counterAdd("sample.batches", 1);
-                telemetry::counterAdd("sample.nodes", mb.numNodes);
-                telemetry::counterAdd("sample.edges",
-                                      mb.graph.numEdges());
-            }
-        };
-
         // Exactly nb batches belong to this epoch in either mode.
         for (std::uint32_t b = 0; b < nb; ++b) {
-            if (cfg.pipeline) {
-                Minibatch *mb = pipe->next();
+            Minibatch *mb = &slots[0];
+            if (pipe) {
+                mb = pipe->next();
                 checkInvariant(mb != nullptr,
                                "SampledTrainer: pipeline ended early");
-                consume(*mb);
-                pipe->recycle(mb);
             } else {
-                const bool ok = produce(slots[0], sync_idx++);
-                checkInvariant(ok, "SampledTrainer: produce ended early");
-                consume(slots[0]);
+                produce(epoch, b, *mb);
             }
+            {
+                MAXK_TRACE_SCOPE("sample.train_step");
+                loss_sum += trainStep(*mb, adam) *
+                            static_cast<double>(mb->numSeeds);
+            }
+            seed_sum += mb->numSeeds;
+            ++result.batchesTrained;
+            result.sampledNodes += mb->numNodes;
+            result.sampledEdges += mb->graph.numEdges();
+            if (telemetry::armed()) {
+                telemetry::counterAdd("sample.batches", 1);
+                telemetry::counterAdd("sample.nodes", mb->numNodes);
+                telemetry::counterAdd("sample.edges",
+                                      mb->graph.numEdges());
+            }
+            if (pipe)
+                pipe->recycle(mb);
         }
         checkInvariant(seed_sum == trainIds_.size(),
                        "SampledTrainer: epoch did not visit every seed");
-        result.trainLoss.push_back(loss_sum /
-                                   static_cast<double>(seed_sum));
+        return loss_sum / static_cast<double>(seed_sum);
+    };
+    steps.evaluate = [&](std::uint32_t) {
+        MAXK_TRACE_SCOPE("sample.eval");
+        syncEvalParams();
+        result.finalLogits =
+            evalModel_.forward(data_.graph, data_.features, false);
+        return nn::evalMetrics(result.finalLogits, task_, data_,
+                               multiTargets_);
+    };
+    // The pipeline counters persist, so a resumed run continues them.
+    steps.checkSections = [](const formats::Checkpoint &ck) {
+        return ck.checkU64s("counters", 3);
+    };
+    steps.readSections = [&](const formats::Checkpoint &ck) {
+        const std::vector<std::uint64_t> c = ck.getU64s("counters").value();
+        result.batchesTrained = c[0];
+        result.sampledNodes = c[1];
+        result.sampledEdges = c[2];
+    };
+    steps.writeSections = [&](formats::Checkpoint *ck) {
+        ck->setU64s("counters", {result.batchesTrained,
+                                 result.sampledNodes,
+                                 result.sampledEdges});
+    };
 
-        if (epoch % eval_every == 0 || epoch + 1 == cfg.epochs) {
-            MAXK_TRACE_SCOPE("sample.eval");
-            syncEvalParams();
-            const Matrix &logits =
-                evalModel_.forward(data_.graph, data_.features, false);
-            const double val = evalMetric(logits, data_.valMask);
-            const double test = evalMetric(logits, data_.testMask);
-            result.evalEpochs.push_back(epoch);
-            result.valMetric.push_back(val);
-            result.testMetric.push_back(test);
-            if (val >= result.bestValMetric) {
-                result.bestValMetric = val;
-                result.testAtBestVal = test;
-            }
-            result.finalTestMetric = test;
-            result.finalLogits = logits;
-            if (cfg.verbose)
-                logMessage(LogLevel::Info,
-                           "epoch " + std::to_string(epoch) + " loss " +
-                               std::to_string(result.trainLoss.back()) +
-                               " val " + std::to_string(val) + " test " +
-                               std::to_string(test));
-        }
-
-        if (store && ((epoch + 1) %
-                              std::max<std::uint32_t>(cfg.checkpointEvery,
-                                                      1) ==
-                          0 ||
-                      epoch + 1 == cfg.epochs)) {
-            nn::writeModelState(ck, model_, adam);
-            nn::writeTrajectories(ck, result);
-            ck.setU64("epoch", epoch);
-            ck.setU64s("counters", {result.batchesTrained,
-                                    result.sampledNodes,
-                                    result.sampledEdges});
-            auto saved = store->save(ck, epoch, cfg.faults);
-            if (!saved)
-                logMessage(LogLevel::Warn,
-                           "SampledTrainer: checkpoint save failed: " +
-                               saved.error().describe());
-        }
-    }
-
-    if (cfg.epochs > steady_epoch)
-        result.steadyStateAllocCount =
-            AllocProbe::totalAllocCount() - alloc_base;
-    result.hostSeconds = watch.seconds();
+    loop.run(steps, model_, adam, result);
     return result;
 }
 

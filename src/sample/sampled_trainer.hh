@@ -32,11 +32,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "common/fault.hh"
 #include "graph/registry.hh"
+#include "nn/epoch_loop.hh"
 #include "nn/model.hh"
 #include "nn/optimizer.hh"
 #include "sample/extractor.hh"
@@ -45,55 +44,25 @@
 namespace maxk::sample
 {
 
-/** Mini-batch training hyper-parameters. */
-struct SampledTrainConfig
+/**
+ * Mini-batch training hyper-parameters: the shared loop's config plus
+ * the pipeline knobs. On resume the produce index restarts at
+ * start_epoch * numBatches, so the keyed sample streams line up
+ * exactly with the uninterrupted run.
+ */
+struct SampledTrainConfig : nn::TrainConfig
 {
-    std::uint32_t epochs = 20;
-    Float lr = 0.01f;
-    Float weightDecay = 0.0f;
-    std::uint32_t evalEvery = 1;   //!< 0 is clamped to 1 (every epoch)
     bool pipeline = true;          //!< overlap sampling with training
     std::uint32_t queueDepth = 2;  //!< batches buffered ahead (>= 1)
-    bool verbose = false;
-
-    /** Checkpoint/restore (ISSUE 9) — same contract as TrainConfig:
-     *  non-empty dir enables rotated end-of-epoch checkpoints and
-     *  resume-from-newest with bitwise-identical continuation (the
-     *  produce index restarts at start_epoch * numBatches, so the
-     *  keyed sample streams line up exactly). */
-    std::string checkpointDir;
-    std::uint32_t checkpointEvery = 1;
-    std::uint32_t checkpointKeep = 2;
-
-    /** Optional fault injector (site "sampled_trainer.epoch",
-     *  "checkpoint.write"). Not owned. */
-    FaultInjector *faults = nullptr;
-
-    /** Arm telemetry for the run (ISSUE 10). Observation only —
-     *  bitwise-neutral, same contract as nn::TrainConfig::telemetry. */
-    bool telemetry = false;
 };
 
-/** Outcome of a mini-batch run: trajectory, metrics, and the pipeline
- *  observability counters the tests and bench pin down. */
-struct SampledTrainResult
+/** Outcome of a mini-batch run: the shared result plus the full-graph
+ *  logits and the pipeline counters the tests and bench pin down. The
+ *  counters persist in checkpoints, so a resumed run continues them. */
+struct SampledTrainResult : nn::TrainResult
 {
-    std::vector<double> trainLoss;   //!< seed-weighted mean per epoch
-    std::vector<double> valMetric;   //!< one per eval point (full graph)
-    std::vector<double> testMetric;
-    std::vector<std::uint32_t> evalEpochs;
-
-    double bestValMetric = 0.0;
-    double testAtBestVal = 0.0;
-    double finalTestMetric = 0.0;
-    double hostSeconds = 0.0;
-
     /** Full-graph logits of the last evaluation. */
     Matrix finalLogits;
-
-    /** Matrix/CbsrMatrix heap allocations during epochs >= 2 (0 once
-     *  every slot and workspace is warm). */
-    std::uint64_t steadyStateAllocCount = 0;
 
     std::uint64_t batchesTrained = 0;
     std::uint64_t sampledNodes = 0;  //!< Σ real (unpadded) batch nodes
@@ -126,15 +95,15 @@ class SampledTrainer
     SampledTrainer(nn::GnnModel &model, TrainingData &data,
                    const TrainingTask &task, const SamplerConfig &scfg);
 
-    /** Run the loop; bitwise-deterministic given seeds (any threads,
-     *  any pipeline mode/depth). */
+    /** Run the shared epoch loop; bitwise-deterministic given seeds
+     *  (any threads, any pipeline mode/depth). */
     SampledTrainResult run(const SampledTrainConfig &cfg);
 
     const NeighborSampler &sampler() const { return sampler_; }
 
   private:
-    double evalMetric(const Matrix &logits,
-                      const std::vector<std::uint8_t> &mask) const;
+    /** Sample and extract batch `b` of `epoch` into `slot`. */
+    void produce(std::uint32_t epoch, std::uint32_t b, Minibatch &slot);
 
     /** Copy training parameter values into the eval replica. */
     void syncEvalParams();

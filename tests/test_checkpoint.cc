@@ -8,12 +8,15 @@
  *  - CheckpointStore: atomic saves (no .tmp residue), keep-last-N
  *    rotation, and loadLatest() falling back past corrupted images
  *    with the skip list reporting what was rejected and why;
- *  - bitwise recovery: for each of the three training loops
- *    (nn::Trainer, sample::SampledTrainer, dist::ShardedTrainer), a
- *    run killed at epoch k by an injected fault and resumed from its
- *    checkpoints finishes with trajectories and final logits bitwise
- *    equal to the uninterrupted run — dropout enabled, so the RNG
- *    stream positions must genuinely persist and restore.
+ *  - bitwise recovery, one fixture over the three engines of the
+ *    shared epoch loop (nn::Trainer, sample::SampledTrainer,
+ *    dist::ShardedTrainer): a run killed at epoch k by an injected
+ *    fault and resumed from its checkpoints finishes with every result
+ *    field, the final logits and the pipeline counters bitwise equal
+ *    to the uninterrupted run — dropout enabled, so the RNG stream
+ *    positions must genuinely persist and restore; and a checksum-valid
+ *    image that fails any check is rejected whole, so the run equals a
+ *    fresh one.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +33,9 @@
 #include "graph/formats/checkpoint.hh"
 #include "graph/partition.hh"
 #include "graph/registry.hh"
+#include "nn/checkpoint.hh"
 #include "nn/model.hh"
+#include "nn/optimizer.hh"
 #include "nn/trainer.hh"
 #include "sample/sampled_trainer.hh"
 #include "tensor/matrix.hh"
@@ -137,8 +142,14 @@ TEST(Checkpoint, MissingAndMistypedSectionsAreTypedErrors)
     EXPECT_FALSE(ck.section("absent").hasValue());
     // A 4-word section read as a single u64 must fail, not misparse.
     EXPECT_FALSE(ck.getU64("rng.drop").hasValue());
+    EXPECT_TRUE(ck.checkU64s("rng.drop", 4).hasValue());
+    EXPECT_FALSE(ck.checkU64s("rng.drop", 3).hasValue());
+    EXPECT_FALSE(ck.checkU64s("absent", 4).hasValue());
     Matrix m;
     EXPECT_FALSE(ck.getMatrix("epoch", m).hasValue());
+    EXPECT_FALSE(ck.matrixShape("epoch").hasValue());
+    EXPECT_EQ(ck.matrixShape("param.0").value(),
+              (std::pair<std::uint64_t, std::uint64_t>{3, 4}));
 }
 
 TEST(Checkpoint, TruncationAtEveryPrefixLengthIsDetected)
@@ -286,45 +297,6 @@ killPlan(const char *site, std::uint64_t occurrence,
     return FaultPlan().add(std::move(s));
 }
 
-TEST(Recovery, TrainerKillAtEpochResumeIsBitwise)
-{
-    ScopedDir dir("trainer");
-    const TrainingTask task = smallTask(300);
-    Rng rng(61);
-    TrainingData data = materializeTrainingData(task, rng);
-    const nn::ModelConfig cfg = smallModel(task);
-
-    nn::TrainConfig tc;
-    tc.epochs = 6;
-    tc.evalEvery = 2;
-
-    nn::GnnModel ref_model(cfg);
-    nn::Trainer ref_trainer(ref_model, data, task);
-    const nn::TrainResult ref = ref_trainer.run(tc);
-
-    FaultInjector inj(killPlan("trainer.epoch", 3));
-    tc.checkpointDir = dir.path;
-    tc.checkpointKeep = 2;
-    tc.faults = &inj;
-    {
-        nn::GnnModel model(cfg);
-        nn::Trainer trainer(model, data, task);
-        EXPECT_THROW(trainer.run(tc), InjectedFault);
-    }
-
-    tc.faults = nullptr;
-    nn::GnnModel model(cfg);
-    nn::Trainer trainer(model, data, task);
-    const nn::TrainResult got = trainer.run(tc);
-    EXPECT_EQ(got.trainLoss, ref.trainLoss);
-    EXPECT_EQ(got.evalEpochs, ref.evalEpochs);
-    EXPECT_EQ(got.valMetric, ref.valMetric);
-    EXPECT_EQ(got.testMetric, ref.testMetric);
-    EXPECT_EQ(got.bestValMetric, ref.bestValMetric);
-    EXPECT_EQ(got.testAtBestVal, ref.testAtBestVal);
-    EXPECT_EQ(got.finalTestMetric, ref.finalTestMetric);
-}
-
 TEST(Recovery, TrainerResumeFallsBackPastCorruptSaves)
 {
     ScopedDir dir("trainer-corrupt");
@@ -387,89 +359,228 @@ TEST(Recovery, TrainerResumeFallsBackPastCorruptSaves)
     EXPECT_EQ(got.finalTestMetric, ref.finalTestMetric);
 }
 
-TEST(Recovery, SampledTrainerKillAtEpochResumeIsBitwise)
+/* ----------------------------------- one fixture for all three engines */
+
+enum class Engine { Trainer, Sampled, Sharded };
+
+/** An engine under test: its store tag and its kill schedule. */
+struct EngineCase
 {
-    ScopedDir dir("sampled");
-    const TrainingTask task = smallTask(300);
-    Rng rng(63);
-    TrainingData data = materializeTrainingData(task, rng);
-    const nn::ModelConfig cfg = smallModel(task);
+    Engine engine;
+    const char *name;        //!< test-name suffix
+    const char *store;       //!< checkpoint store tag
+    const char *site;        //!< per-epoch fault site
+    std::uint64_t killAt;    //!< visit of `site` that throws
+    std::uint32_t killRank;  //!< rank whose visit counts
+};
 
-    sample::SamplerConfig scfg;
-    scfg.fanouts = {4, 4};
-    scfg.batchSize = 32;
-    scfg.seed = 99;
-
-    sample::SampledTrainConfig tc;
-    tc.epochs = 6;
-    tc.evalEvery = 2;
-
-    sample::SampledTrainResult ref;
-    {
-        nn::GnnModel model(cfg);
-        sample::SampledTrainer trainer(model, data, task, scfg);
-        ref = trainer.run(tc);
-    }
-
-    FaultInjector inj(killPlan("sampled_trainer.epoch", 3));
-    tc.checkpointDir = dir.path;
-    tc.checkpointKeep = 2;
-    tc.faults = &inj;
-    {
-        nn::GnnModel model(cfg);
-        sample::SampledTrainer trainer(model, data, task, scfg);
-        EXPECT_THROW(trainer.run(tc), InjectedFault);
-    }
-
-    tc.faults = nullptr;
-    nn::GnnModel model(cfg);
-    sample::SampledTrainer trainer(model, data, task, scfg);
-    const sample::SampledTrainResult got = trainer.run(tc);
-    EXPECT_EQ(got.trainLoss, ref.trainLoss);
-    EXPECT_EQ(got.evalEpochs, ref.evalEpochs);
-    EXPECT_EQ(got.valMetric, ref.valMetric);
-    EXPECT_EQ(got.testMetric, ref.testMetric);
-    EXPECT_EQ(got.finalTestMetric, ref.finalTestMetric);
-    EXPECT_TRUE(got.finalLogits.equals(ref.finalLogits));
+void
+PrintTo(const EngineCase &c, std::ostream *os)
+{
+    *os << c.name;
 }
 
-TEST(Recovery, ShardedTrainerRankKillResumeIsBitwise)
+/** What a run left behind, in one shape for every engine. */
+struct Outcome
 {
-    ScopedDir dir("sharded");
-    const TrainingTask task = smallTask(400);
-    Rng rng(64);
-    TrainingData data = materializeTrainingData(task, rng);
-    const nn::ModelConfig cfg = smallModel(task);
-    Rng prng(65);
-    const Partition parts = bfsPartition(data.graph, 3, prng);
+    nn::TrainResult train;
+    /** Sampled/sharded: the result's final logits. Trainer: the final
+     *  model's eval-mode logits (so the final weights are compared). */
+    Matrix finalLogits;
+    std::vector<std::uint64_t> counters;  //!< sampled pipeline counters
+};
 
-    nn::TrainConfig tc;
-    tc.epochs = 6;
-    tc.evalEvery = 2;
-
-    dist::ShardedTrainer ref_trainer(cfg, data, task, parts);
-    const dist::ShardedTrainResult ref = ref_trainer.run(tc);
-
-    // Kill rank 1 at its third epoch boundary.
-    FaultInjector inj(killPlan("sharded.epoch", 2, 1));
-    tc.checkpointDir = dir.path;
-    tc.checkpointKeep = 2;
-    tc.faults = &inj;
-    {
-        dist::ShardedTrainer trainer(cfg, data, task, parts);
-        EXPECT_THROW(trainer.run(tc), InjectedFault);
-    }
-
-    tc.faults = nullptr;
-    dist::ShardedTrainer trainer(cfg, data, task, parts);
-    const dist::ShardedTrainResult got = trainer.run(tc);
+/** Every result field but the wall clock, bitwise. */
+void
+expectSameRun(const Outcome &got, const Outcome &ref)
+{
     EXPECT_EQ(got.train.trainLoss, ref.train.trainLoss);
-    EXPECT_EQ(got.train.evalEpochs, ref.train.evalEpochs);
     EXPECT_EQ(got.train.valMetric, ref.train.valMetric);
     EXPECT_EQ(got.train.testMetric, ref.train.testMetric);
+    EXPECT_EQ(got.train.evalEpochs, ref.train.evalEpochs);
+    EXPECT_EQ(got.train.bestValMetric, ref.train.bestValMetric);
+    EXPECT_EQ(got.train.testAtBestVal, ref.train.testAtBestVal);
     EXPECT_EQ(got.train.finalTestMetric, ref.train.finalTestMetric);
+    EXPECT_EQ(got.train.steadyStateAllocCount,
+              ref.train.steadyStateAllocCount);
     EXPECT_TRUE(got.finalLogits.equals(ref.finalLogits));
+    EXPECT_EQ(got.counters, ref.counters);
 }
+
+class EngineRecovery : public ::testing::TestWithParam<EngineCase>
+{
+  protected:
+    EngineRecovery() : task_(smallTask(400)), cfg_(smallModel(task_))
+    {
+        Rng rng(64);
+        data_ = materializeTrainingData(task_, rng);
+        Rng prng(65);
+        parts_ = bfsPartition(data_.graph, 3, prng);
+        tc_.epochs = 6;
+        tc_.evalEvery = 2;
+    }
+
+    Outcome
+    run(const nn::TrainConfig &tc)
+    {
+        Outcome out;
+        switch (GetParam().engine) {
+          case Engine::Trainer: {
+            nn::GnnModel model(cfg_);
+            nn::Trainer trainer(model, data_, task_);
+            out.train = trainer.run(tc);
+            out.finalLogits =
+                model.forward(data_.graph, data_.features, false);
+            break;
+          }
+          case Engine::Sampled: {
+            nn::GnnModel model(cfg_);
+            sample::SamplerConfig scfg;
+            scfg.fanouts = {4, 4};
+            scfg.batchSize = 32;
+            scfg.seed = 99;
+            sample::SampledTrainer trainer(model, data_, task_, scfg);
+            sample::SampledTrainConfig sc;
+            static_cast<nn::TrainConfig &>(sc) = tc;
+            const sample::SampledTrainResult r = trainer.run(sc);
+            out.train = r;
+            out.finalLogits = r.finalLogits;
+            out.counters = {r.batchesTrained, r.sampledNodes,
+                            r.sampledEdges};
+            break;
+          }
+          case Engine::Sharded: {
+            dist::ShardedTrainer trainer(cfg_, data_, task_, parts_);
+            const dist::ShardedTrainResult r = trainer.run(tc);
+            out.train = r.train;
+            out.finalLogits = r.finalLogits;
+            break;
+          }
+        }
+        return out;
+    }
+
+    /**
+     * Save, through the engine's store, a checksum-valid epoch-2 image
+     * that holds a model state unlike a fresh model's (stepped weights
+     * and Adam moments, advanced dropout stream), so restoring any
+     * part of it would change the run. `trajectories` adds empty
+     * "traj.*" sections. The engine's own sections are there minus one
+     * (sampled: "counters" with two words instead of three; sharded:
+     * "rng.rank<r>" for every rank but the last).
+     */
+    void
+    saveImage(const std::string &dir, bool trajectories)
+    {
+        nn::GnnModel model(cfg_);
+        nn::Adam adam(model.params());
+        for (nn::Param *p : model.params()) {
+            p->resetGrad();
+            for (std::size_t i = 0; i < p->grad.size(); ++i)
+                p->grad.data()[i] = 1.0f;
+        }
+        adam.step();
+        model.dropoutRng().next();
+
+        formats::Checkpoint ck;
+        nn::writeModelState(ck, model, adam);
+        if (trajectories)
+            nn::writeTrajectories(ck, nn::TrainResult{});
+        if (GetParam().engine == Engine::Sampled)
+            ck.setU64s("counters", {1, 2});
+        if (GetParam().engine == Engine::Sharded) {
+            std::uint64_t words[4];
+            model.dropoutRng().stateWords(words);
+            for (std::uint32_t r = 0; r + 1 < parts_.numParts; ++r)
+                ck.set("rng.rank" + std::to_string(r), words,
+                       sizeof(words));
+        }
+        ck.setU64("epoch", 2);
+        ASSERT_TRUE(formats::CheckpointStore(dir, GetParam().store, 2)
+                        .save(ck, 2)
+                        .hasValue());
+    }
+
+    TrainingTask task_;
+    nn::ModelConfig cfg_;
+    TrainingData data_;
+    Partition parts_;
+    nn::TrainConfig tc_;
+};
+
+// A run killed at an epoch boundary by an injected fault and resumed
+// from its checkpoints finishes bitwise equal to the uninterrupted run
+// — dropout enabled, so the RNG stream positions must genuinely
+// persist and restore.
+TEST_P(EngineRecovery, KillAtEpochResumeIsBitwise)
+{
+    ScopedDir dir(std::string("kill-") + GetParam().name);
+    const Outcome ref = run(tc_);
+
+    FaultInjector inj(killPlan(GetParam().site, GetParam().killAt,
+                               GetParam().killRank));
+    nn::TrainConfig tc = tc_;
+    tc.checkpointDir = dir.path;
+    tc.checkpointKeep = 2;
+    tc.faults = &inj;
+    EXPECT_THROW(run(tc), InjectedFault);
+
+    tc.faults = nullptr;
+    expectSameRun(run(tc), ref);
+}
+
+// A checksum-valid image without trajectories is rejected before any
+// of it is restored: the run equals a fresh one.
+TEST_P(EngineRecovery, ImageWithoutTrajectoriesStartsFresh)
+{
+    ScopedDir dir(std::string("no-traj-") + GetParam().name);
+    const Outcome fresh = run(tc_);
+    saveImage(dir.path, false);
+    nn::TrainConfig tc = tc_;
+    tc.checkpointDir = dir.path;
+    expectSameRun(run(tc), fresh);
+}
+
+const EngineCase kTrainerCase{Engine::Trainer, "Trainer", "trainer",
+                              "trainer.epoch", 3, kAnyRank};
+const EngineCase kSampledCase{Engine::Sampled, "Sampled", "sampled",
+                              "sampled_trainer.epoch", 3, kAnyRank};
+// Rank 1 dies at its third epoch boundary.
+const EngineCase kShardedCase{Engine::Sharded, "Sharded", "sharded",
+                              "sharded.epoch", 2, 1};
+
+std::string
+caseName(const ::testing::TestParamInfo<EngineCase> &info)
+{
+    return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, EngineRecovery,
+                         ::testing::Values(kTrainerCase, kSampledCase,
+                                           kShardedCase),
+                         caseName);
+
+/** The engines that write checkpoint sections of their own. */
+class EngineSectionRecovery : public EngineRecovery
+{
+};
+
+// An image complete but for one engine section is rejected as a whole;
+// for the sharded engine only the last rank's check fails, so the
+// ranks must agree to reject.
+TEST_P(EngineSectionRecovery, ImageMissingAnEngineSectionStartsFresh)
+{
+    ScopedDir dir(std::string("no-sections-") + GetParam().name);
+    const Outcome fresh = run(tc_);
+    saveImage(dir.path, true);
+    nn::TrainConfig tc = tc_;
+    tc.checkpointDir = dir.path;
+    expectSameRun(run(tc), fresh);
+}
+
+INSTANTIATE_TEST_SUITE_P(SectionEngines, EngineSectionRecovery,
+                         ::testing::Values(kSampledCase, kShardedCase),
+                         caseName);
 
 } // namespace
 } // namespace maxk

@@ -200,6 +200,30 @@ TEST(Trainer, MultiLabelTaskTrainsWithBce)
     EXPECT_GT(r.finalTestMetric, 0.4);
 }
 
+TEST(Trainer, SteadyStateEpochsAllocationFree)
+{
+    // The contract the sampled and sharded engines already keep: once
+    // the model and loss workspaces are warm (epochs >= 2), an epoch
+    // of forward, loss, backward, step and evaluation allocates no
+    // Matrix/CbsrMatrix storage — for both loss families.
+    for (const char *dataset : {"Flickr", "Yelp"}) {
+        TrainingTask task = *findTrainingTask(dataset);
+        task.accuracyNodes = 300;
+        task.accuracyAvgDegree = 10.0;
+        Rng rng(8);
+        TrainingData data = materializeTrainingData(task, rng);
+        for (const auto nonlin : {Nonlinearity::MaxK, Nonlinearity::Relu}) {
+            GnnModel model(tinyModel(GnnKind::Sage, nonlin, task));
+            Trainer trainer(model, data, task);
+            TrainConfig cfg;
+            cfg.epochs = 6;
+            cfg.evalEvery = 1;  // evaluations inside the window too
+            EXPECT_EQ(trainer.run(cfg).steadyStateAllocCount, 0u)
+                << dataset << "/" << nonlinearityName(nonlin);
+        }
+    }
+}
+
 TEST(ProfileEpoch, AggregationDominatesOnHighDegreeGraph)
 {
     // Reddit-like: avg degree ~256 at dim 256 -> SpMM should dominate

@@ -343,7 +343,7 @@ TEST(Sharded, SteadyStateEpochsAllocationFree)
         // Epochs >= 2, all ranks, forward + loss + backward +
         // allReduce + eval gather: zero Matrix/CbsrMatrix heap
         // allocations once the workspaces are warm.
-        EXPECT_EQ(got.steadyStateAllocCount, 0u)
+        EXPECT_EQ(got.train.steadyStateAllocCount, 0u)
             << nn::nonlinearityName(nonlin);
     }
 }
