@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the host-side hot paths: MaxK
  * pivot selection, CBSR (de)compression, the fast aggregation loops,
- * and the cache model itself. These measure the reproduction's own
- * throughput (host wall-clock), complementing the simulated-GPU
- * numbers the table/figure benches report.
+ * the Linear GEMMs, and the cache model itself. These measure the
+ * reproduction's own throughput (host wall-clock), complementing the
+ * simulated-GPU numbers the table/figure benches report.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,7 +16,9 @@
 #include "graph/edge_groups.hh"
 #include "graph/generators.hh"
 #include "nn/gnn_layer.hh"
+#include "nn/linear.hh"
 #include "tensor/init.hh"
+#include "tensor/ops.hh"
 
 namespace maxk
 {
@@ -201,6 +203,64 @@ BM_AggregateCbsrBackwardThreads(benchmark::State &state)
     setDefaultThreads(0);
 }
 BENCHMARK(BM_AggregateCbsrBackwardThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+// The Linear GEMMs at full-reddit-maxk's layer-1 shape: 4,096 nodes,
+// 256 -> 256. Items are multiply-adds of the dense product.
+constexpr std::size_t kGemmRows = 4096;
+constexpr std::size_t kGemmDim = 256;
+
+void
+BM_GemmThreads(benchmark::State &state)
+{
+    setDefaultThreads(static_cast<std::uint32_t>(state.range(0)));
+    Rng rng(12);
+    Matrix x(kGemmRows, kGemmDim), w(kGemmDim, kGemmDim);
+    fillNormal(x, rng, 0.0f, 1.0f);
+    fillNormal(w, rng, 0.0f, 0.1f);
+    Matrix y;
+    for (auto _ : state) {
+        gemm(x, w, y);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kGemmRows * kGemmDim *
+                            kGemmDim);
+    setDefaultThreads(0);
+}
+BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// Args = {workers, k}: k = 0 runs the dense backward (gemmTransA +
+// gemmTransB), k > 0 the CBSR one on a MaxK-k gradient.
+void
+BM_LinearBackwardThreads(benchmark::State &state)
+{
+    setDefaultThreads(static_cast<std::uint32_t>(state.range(0)));
+    const auto k = static_cast<std::uint32_t>(state.range(1));
+    Rng rng(13);
+    nn::Linear lin(kGemmDim, kGemmDim, rng, "lin");
+    Matrix x(kGemmRows, kGemmDim), dy(kGemmRows, kGemmDim);
+    fillNormal(x, rng, 0.0f, 1.0f);
+    fillNormal(dy, rng, 0.0f, 1.0f);
+    CbsrMatrix dys;
+    if (k > 0)
+        nn::maxkCompressFast(dy, k, dys);
+    Matrix dx;
+    for (auto _ : state) {
+        if (k > 0)
+            lin.backward(x, dys, dx);
+        else
+            lin.backward(x, dy, dx);
+        benchmark::DoNotOptimize(dx.data());
+        benchmark::ClobberMemory();
+    }
+    const std::size_t cols = k > 0 ? k : kGemmDim;
+    state.SetItemsProcessed(state.iterations() * 2 * kGemmRows * cols *
+                            kGemmDim);
+    setDefaultThreads(0);
+}
+BENCHMARK(BM_LinearBackwardThreads)
+    ->ArgsProduct({{1, 2, 4}, {0, 32}})
+    ->UseRealTime();
 
 void
 BM_EdgeGroupPartition(benchmark::State &state)

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "tensor/ops.hh"
 
 namespace maxk
 {
@@ -65,30 +66,31 @@ cbsrColumnSums(const CbsrMatrix &ds, Matrix &out)
 }
 
 void
-cbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &dx)
+cbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &wt,
+               Matrix &dx)
 {
     checkInvariant(ds.dimOrigin() == w.cols(),
                    "cbsrGemmTransB: col count mismatch");
     const std::size_t in_dim = w.rows();
     const std::uint32_t dim_k = ds.dimK();
+    transpose(w, wt);
     dx.ensureShape(ds.rows(), in_dim);
     dx.setZero();
+    // Row-wise product: each of a gradient row's k values scales one
+    // contiguous W^T row into dx. Per element the products fold in kk
+    // order from +0, the same sum as the dot product of the row's
+    // values with w.row(i)[sp_index], zeros included.
     parallelFor(0, ds.rows(), kRowGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
                     for (std::size_t r = begin; r < end; ++r) {
                         const NodeId row = static_cast<NodeId>(r);
                         const Float *data = ds.dataRow(row);
                         Float *drow = dx.row(r);
-                        for (std::size_t i = 0; i < in_dim; ++i) {
-                            const Float *wrow = w.row(i);
-                            Float acc = 0.0f;
-                            for (std::uint32_t kk = 0; kk < dim_k; ++kk)
-                                acc += data[kk] *
-                                       wrow[ds.indexAt(row, kk)];
-                            // += onto the zeroed output (not a store):
-                            // gemmTransB folds acc the same way, which
-                            // normalises a -0 accumulator to +0.
-                            drow[i] += acc;
+                        for (std::uint32_t kk = 0; kk < dim_k; ++kk) {
+                            const Float s = data[kk];
+                            const Float *wtrow = wt.row(ds.indexAt(row, kk));
+                            for (std::size_t i = 0; i < in_dim; ++i)
+                                drow[i] += s * wtrow[i];
                         }
                     }
                 });

@@ -54,9 +54,15 @@ void cbsrColumnSums(const CbsrMatrix &ds, Matrix &out);
 
 /**
  * dx = scatter(ds) * w^T: w is (in x out), dx is resized to (N x in).
+ * A row-wise product (the host analogue of the paper's row-wise
+ * SpGEMM): w^T is written once into the caller-owned workspace `wt`
+ * (out x in, reused when its element count matches), then each of a
+ * gradient row's k values scales one contiguous w^T row into that row
+ * of dx. Every term folds, zeros included, as in gemmTransB.
  * Row-parallel over N, bitwise-deterministic at any thread count.
  */
-void cbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &dx);
+void cbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &wt,
+                    Matrix &dx);
 
 /**
  * Simulated latency of the full CBSR-aware linear backward (dW + db +

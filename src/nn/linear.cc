@@ -42,8 +42,8 @@ Linear::backward(const Matrix &x, const Matrix &dy, Matrix &dx)
     // db += column sums of dy
     columnSums(dy, colScratch_);
     addInPlace(bias_.grad, colScratch_);
-    // dx = dy W^T
-    gemmTransB(dy, weight_.value, dx);
+    // dx = dy W^T; dwScratch_ is spent, so it holds W^T (same size).
+    gemmTransB(dy, weight_.value, dwScratch_, dx);
 }
 
 void
@@ -55,7 +55,7 @@ Linear::backward(const Matrix &x, const CbsrMatrix &dy, Matrix &dx)
     addInPlace(weight_.grad, dwScratch_);
     cbsrColumnSums(dy, colScratch_);
     addInPlace(bias_.grad, colScratch_);
-    cbsrGemmTransB(dy, weight_.value, dx);
+    cbsrGemmTransB(dy, weight_.value, dwScratch_, dx);
 }
 
 void

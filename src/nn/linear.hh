@@ -72,7 +72,7 @@ class Linear
 
     // Persistent backward workspaces (gradients are accumulated into
     // the Param buffers via these, so repeated epochs allocate nothing).
-    Matrix dwScratch_;   //!< dW of the current call
+    Matrix dwScratch_;   //!< dW of the current call, then W^T for dX
     Matrix colScratch_;  //!< db of the current call
 };
 

@@ -4,9 +4,99 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 
 namespace maxk
 {
+
+namespace
+{
+
+/** Rows per parallelFor chunk, as in the other row kernels. */
+constexpr std::size_t kRowGrain = 16;
+/** Output-row chunk grain of gemmTransA: its rows are the input
+ *  dimension, as in cbsrGemmTransA. */
+constexpr std::size_t kColGrain = 8;
+/** C rows one micro-kernel call updates. */
+constexpr std::size_t kBlock = 4;
+
+/**
+ * The row-update micro-kernel: c[r][j] += s[r] * b[j] for r < R and
+ * j < n, one product per element, so a sequence of calls folds each
+ * element's products in call order. The rows of c and b must not
+ * overlap; ivdep tells GCC so, and it vectorises the column loop at
+ * -O3 (the row loop is unrolled so -O2 keeps the scalars in registers).
+ */
+template <std::size_t R>
+void
+rowUpdate(Float *const *c, const Float *s, const Float *b, std::size_t n)
+{
+#pragma GCC ivdep
+    for (std::size_t j = 0; j < n; ++j) {
+        const Float bj = b[j];
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < R; ++r)
+            c[r][j] += s[r] * bj;
+    }
+}
+
+/**
+ * C rows [i, i + rows) (rows <= kBlock) += s[r] * b. With SkipZero a
+ * row whose scalar is ±0 takes no product at all: adding its ±0
+ * products could still fold 0 * inf = NaN or turn a -0 element into
+ * +0. The remaining rows share one pass over b.
+ */
+template <bool SkipZero>
+void
+blockUpdate(Matrix &c, std::size_t i, std::size_t rows, const Float *s,
+            const Float *b)
+{
+    Float *live_rows[kBlock];
+    Float live_s[kBlock];
+    std::size_t live = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        if (SkipZero && s[r] == 0.0f)
+            continue;
+        live_rows[live] = c.row(i + r);
+        live_s[live] = s[r];
+        ++live;
+    }
+    const std::size_t n = c.cols();
+    switch (live) {
+      case 4: rowUpdate<4>(live_rows, live_s, b, n); break;
+      case 3: rowUpdate<3>(live_rows, live_s, b, n); break;
+      case 2: rowUpdate<2>(live_rows, live_s, b, n); break;
+      case 1: rowUpdate<1>(live_rows, live_s, b, n); break;
+      default: break;
+    }
+}
+
+/**
+ * C += A * B over C rows in blocks of kBlock, row-parallel: each C row
+ * folds a(i, p) * b.row(p) for p ascending.
+ */
+template <bool SkipZero>
+void
+rowBlockedGemm(const Matrix &a, const Matrix &b, Matrix &c)
+{
+    const std::size_t k = a.cols();
+    parallelFor(0, c.rows(), kRowGrain,
+                [&](std::uint32_t, std::size_t begin, std::size_t end) {
+                    Float s[kBlock];
+                    for (std::size_t i = begin; i < end; i += kBlock) {
+                        const std::size_t rows =
+                            std::min(kBlock, end - i);
+                        for (std::size_t p = 0; p < k; ++p) {
+                            for (std::size_t r = 0; r < rows; ++r)
+                                s[r] = a.at(i + r, p);
+                            blockUpdate<SkipZero>(c, i, rows, s,
+                                                  b.row(p));
+                        }
+                    }
+                });
+}
+
+} // namespace
 
 void
 gemm(const Matrix &a, const Matrix &b, Matrix &c)
@@ -21,19 +111,7 @@ gemmAccum(const Matrix &a, const Matrix &b, Matrix &c)
     checkInvariant(a.cols() == b.rows(), "gemm: inner dimension mismatch");
     checkInvariant(c.rows() == a.rows() && c.cols() == b.cols(),
                    "gemm: output shape mismatch");
-    const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-    for (std::size_t i = 0; i < m; ++i) {
-        const Float *arow = a.row(i);
-        Float *crow = c.row(i);
-        for (std::size_t p = 0; p < k; ++p) {
-            const Float av = arow[p];
-            if (av == 0.0f)
-                continue;
-            const Float *brow = b.row(p);
-            for (std::size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
-    }
+    rowBlockedGemm<true>(a, b, c);
 }
 
 void
@@ -41,44 +119,36 @@ gemmTransA(const Matrix &a, const Matrix &b, Matrix &c)
 {
     checkInvariant(a.rows() == b.rows(), "gemmTransA: row count mismatch");
     c.resize(a.cols(), b.cols());
-    const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-    for (std::size_t p = 0; p < k; ++p) {
-        const Float *arow = a.row(p);
-        const Float *brow = b.row(p);
-        for (std::size_t i = 0; i < m; ++i) {
-            const Float av = arow[i];
-            if (av == 0.0f)
-                continue;
-            Float *crow = c.row(i);
-            for (std::size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
-    }
+    const std::size_t k = a.rows();
+    // Worker t owns C rows [begin, end) and sweeps every A/B row in
+    // ascending order, so each element folds its products in p order.
+    parallelFor(0, c.rows(), kColGrain,
+                [&](std::uint32_t, std::size_t begin, std::size_t end) {
+                    for (std::size_t p = 0; p < k; ++p) {
+                        const Float *arow = a.row(p);
+                        const Float *brow = b.row(p);
+                        for (std::size_t i = begin; i < end; i += kBlock)
+                            blockUpdate<true>(c, i,
+                                              std::min(kBlock, end - i),
+                                              arow + i, brow);
+                    }
+                });
 }
 
 void
-gemmTransB(const Matrix &a, const Matrix &b, Matrix &c)
+gemmTransB(const Matrix &a, const Matrix &b, Matrix &bt, Matrix &c)
 {
     checkInvariant(a.cols() == b.cols(), "gemmTransB: col count mismatch");
+    transpose(b, bt);
     c.resize(a.rows(), b.rows());
-    const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-    for (std::size_t i = 0; i < m; ++i) {
-        const Float *arow = a.row(i);
-        Float *crow = c.row(i);
-        for (std::size_t j = 0; j < n; ++j) {
-            const Float *brow = b.row(j);
-            Float acc = 0.0f;
-            for (std::size_t p = 0; p < k; ++p)
-                acc += arow[p] * brow[p];
-            crow[j] += acc;
-        }
-    }
+    // No zero skip: C(i, j) is a plain dot product, so 0 * inf = NaN.
+    rowBlockedGemm<false>(a, bt, c);
 }
 
 void
 transpose(const Matrix &in, Matrix &out)
 {
-    out.resize(in.cols(), in.rows());
+    out.ensureShape(in.cols(), in.rows());
     for (std::size_t i = 0; i < in.rows(); ++i)
         for (std::size_t j = 0; j < in.cols(); ++j)
             out.at(j, i) = in.at(i, j);

@@ -3,8 +3,16 @@
  * Dense linear-algebra kernels on Matrix.
  *
  * These back the Linear layers of the GNN models (the X*W stage of Fig. 3)
- * and all autograd math. GEMMs use an ikj loop order so the inner loop
- * streams both B and C rows, which the compiler auto-vectorises.
+ * and all autograd math.
+ *
+ * The GEMMs are row-parallel on the shared pool (common/parallel.hh) and
+ * share one micro-kernel that adds scalar multiples of one contiguous B
+ * row to up to four C rows; its column loop vectorises. Each output
+ * element still takes exactly the products of the textbook loop, one
+ * multiply and one add each, in ascending inner-index order, starting
+ * from the value C held on entry. No product is fused, reassociated or
+ * split across workers, so results are bitwise identical at any
+ * MAXK_THREADS. Output and workspace arguments must not alias an input.
  */
 
 #ifndef MAXK_TENSOR_OPS_HH
@@ -15,17 +23,37 @@
 namespace maxk
 {
 
-/** C = A * B. A: m x k, B: k x n, C resized to m x n. */
+/**
+ * C = A * B. A: m x k, B: k x n, C resized to m x n (zero-filled), then
+ * gemmAccum.
+ */
 void gemm(const Matrix &a, const Matrix &b, Matrix &c);
 
-/** C += A * B (C must already be m x n). */
+/**
+ * C += A * B (C must already be m x n). C(i, j) folds a(i, p) * b(p, j)
+ * for p ascending onto its entry value. A term whose a(i, p) is ±0 is
+ * skipped, so it can neither turn -0 into +0 nor fold 0 * inf = NaN; a
+ * non-finite B value meets only the nonzero A entries.
+ */
 void gemmAccum(const Matrix &a, const Matrix &b, Matrix &c);
 
-/** C = A^T * B. A: k x m, B: k x n, C resized to m x n. */
+/**
+ * C = A^T * B. A: k x m, B: k x n, C resized to m x n. C(i, j) folds
+ * a(p, i) * b(p, j) for p ascending from +0; a ±0 a(p, i) is skipped as
+ * in gemmAccum. Parallel over C rows: every worker sweeps all k rows of
+ * A and B.
+ */
 void gemmTransA(const Matrix &a, const Matrix &b, Matrix &c);
 
-/** C = A * B^T. A: m x k, B: n x k, C resized to m x n. */
-void gemmTransB(const Matrix &a, const Matrix &b, Matrix &c);
+/**
+ * C = A * B^T. A: m x k, B: n x k, C resized to m x n. C(i, j) folds
+ * a(i, p) * b(j, p) for p ascending from +0 with no zero skip, exactly
+ * like a plain dot product: a zero a(i, p) opposite an inf in B makes
+ * C(i, j) NaN. B^T is written into the caller-owned workspace `bt`
+ * (resized to k x n; reused without reallocation when its element
+ * count already matches), and the product runs as row updates over it.
+ */
+void gemmTransB(const Matrix &a, const Matrix &b, Matrix &bt, Matrix &c);
 
 /** out = transpose(in). */
 void transpose(const Matrix &in, Matrix &out);

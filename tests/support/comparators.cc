@@ -1,6 +1,8 @@
 #include "support/comparators.hh"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 namespace maxk::test
 {
@@ -22,6 +24,27 @@ dimensionMismatch(const char *what, std::size_t ar, std::size_t ac,
 matricesNear(const Matrix &a, const Matrix &b, Float atol)
 {
     return matricesNearRel(a, b, 0.0f, atol);
+}
+
+::testing::AssertionResult
+matricesBitwise(const Matrix &a, const Matrix &b)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols())
+        return dimensionMismatch("matrix", a.rows(), a.cols(), b.rows(),
+                                 b.cols());
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        for (std::size_t c = 0; c < a.cols(); ++c) {
+            std::uint32_t got = 0, want = 0;
+            std::memcpy(&got, &a.row(r)[c], sizeof(got));
+            std::memcpy(&want, &b.row(r)[c], sizeof(want));
+            if (got != want)
+                return ::testing::AssertionFailure()
+                       << "first bit mismatch at (" << r << ", " << c
+                       << "): got " << a.at(r, c) << " (0x" << std::hex
+                       << got << "), want " << b.at(r, c) << " (0x"
+                       << want << ")";
+        }
+    return ::testing::AssertionSuccess();
 }
 
 ::testing::AssertionResult

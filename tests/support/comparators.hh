@@ -22,6 +22,14 @@ namespace maxk::test
                                         Float atol);
 
 /**
+ * Same shape and the same bit pattern in every element, so -0 differs
+ * from +0 (which Matrix::equals treats as equal) and a NaN matches a
+ * NaN with the same payload.
+ */
+::testing::AssertionResult matricesBitwise(const Matrix &a,
+                                           const Matrix &b);
+
+/**
  * Mixed relative/absolute tolerance: |a-b| <= atol + rtol * |b|. Use for
  * quantities that span magnitudes (traffic bytes, accumulated sums).
  */

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/logging.hh"
 #include "kernels/spmm_ref.hh"
 
 namespace maxk::test
@@ -46,6 +47,89 @@ void
 sspmmOracle(const CsrGraph &g, const Matrix &dxl, Matrix &dense)
 {
     spmmTransposedReference(g, dxl, dense);
+}
+
+void
+referenceGemmAccum(const Matrix &a, const Matrix &b, Matrix &c)
+{
+    checkInvariant(a.cols() == b.rows(), "gemm: inner dimension mismatch");
+    checkInvariant(c.rows() == a.rows() && c.cols() == b.cols(),
+                   "gemm: output shape mismatch");
+    const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+    for (std::size_t i = 0; i < m; ++i) {
+        const Float *arow = a.row(i);
+        Float *crow = c.row(i);
+        for (std::size_t p = 0; p < k; ++p) {
+            const Float av = arow[p];
+            if (av == 0.0f)
+                continue;
+            const Float *brow = b.row(p);
+            for (std::size_t j = 0; j < n; ++j)
+                crow[j] += av * brow[j];
+        }
+    }
+}
+
+void
+referenceGemmTransA(const Matrix &a, const Matrix &b, Matrix &c)
+{
+    checkInvariant(a.rows() == b.rows(), "gemmTransA: row count mismatch");
+    c.resize(a.cols(), b.cols());
+    const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
+    for (std::size_t p = 0; p < k; ++p) {
+        const Float *arow = a.row(p);
+        const Float *brow = b.row(p);
+        for (std::size_t i = 0; i < m; ++i) {
+            const Float av = arow[i];
+            if (av == 0.0f)
+                continue;
+            Float *crow = c.row(i);
+            for (std::size_t j = 0; j < n; ++j)
+                crow[j] += av * brow[j];
+        }
+    }
+}
+
+void
+referenceGemmTransB(const Matrix &a, const Matrix &b, Matrix &c)
+{
+    checkInvariant(a.cols() == b.cols(), "gemmTransB: col count mismatch");
+    c.resize(a.rows(), b.rows());
+    const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
+    for (std::size_t i = 0; i < m; ++i) {
+        const Float *arow = a.row(i);
+        Float *crow = c.row(i);
+        for (std::size_t j = 0; j < n; ++j) {
+            const Float *brow = b.row(j);
+            Float acc = 0.0f;
+            for (std::size_t p = 0; p < k; ++p)
+                acc += arow[p] * brow[p];
+            crow[j] += acc;
+        }
+    }
+}
+
+void
+referenceCbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &dx)
+{
+    checkInvariant(ds.dimOrigin() == w.cols(),
+                   "cbsrGemmTransB: col count mismatch");
+    const std::size_t in_dim = w.rows();
+    const std::uint32_t dim_k = ds.dimK();
+    dx.ensureShape(ds.rows(), in_dim);
+    dx.setZero();
+    for (std::size_t r = 0; r < ds.rows(); ++r) {
+        const NodeId row = static_cast<NodeId>(r);
+        const Float *data = ds.dataRow(row);
+        Float *drow = dx.row(r);
+        for (std::size_t i = 0; i < in_dim; ++i) {
+            const Float *wrow = w.row(i);
+            Float acc = 0.0f;
+            for (std::uint32_t kk = 0; kk < dim_k; ++kk)
+                acc += data[kk] * wrow[ds.indexAt(row, kk)];
+            drow[i] += acc;
+        }
+    }
 }
 
 } // namespace maxk::test

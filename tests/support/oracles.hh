@@ -3,7 +3,9 @@
  * Golden oracles shared by the suites: the sort-based top-k reference the
  * MaxK tests compare pivot selection against, and dense aggregation
  * oracles (built on the double-precision `spmmReference` loops) for the
- * SpGEMM-forward / SSpMM-backward kernel pair.
+ * SpGEMM-forward / SSpMM-backward kernel pair, and the serial textbook
+ * GEMM loops that define the fold order of the blocked, row-parallel
+ * kernels in tensor/ops.hh and cbsrGemmTransB.
  */
 
 #ifndef MAXK_TESTS_SUPPORT_ORACLES_HH
@@ -35,6 +37,20 @@ void spgemmOracle(const CsrGraph &g, const CbsrMatrix &h, Matrix &y);
 /** Dense oracle for the backward SSpMM: the full A^T * dxl matrix, to be
  *  gathered at the CBSR pattern by the caller's comparator. */
 void sspmmOracle(const CsrGraph &g, const Matrix &dxl, Matrix &dense);
+
+/** Serial ikj C += A * B, skipping ±0 A terms (gemmAccum's contract). */
+void referenceGemmAccum(const Matrix &a, const Matrix &b, Matrix &c);
+
+/** Serial kij C = A^T * B, skipping ±0 A terms (gemmTransA's). */
+void referenceGemmTransA(const Matrix &a, const Matrix &b, Matrix &c);
+
+/** Serial dot-product C = A * B^T with no skip (gemmTransB's). */
+void referenceGemmTransB(const Matrix &a, const Matrix &b, Matrix &c);
+
+/** Serial dot product over the gathered w.row(i)[sp_index]:
+ *  dx = scatter(ds) * w^T (cbsrGemmTransB's contract). */
+void referenceCbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w,
+                             Matrix &dx);
 
 } // namespace maxk::test
 

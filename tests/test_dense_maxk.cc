@@ -86,8 +86,8 @@ TEST(CbsrGemmBackward, DataGradientMatchesDenseOracle)
     cbsrGemmBackwardData(f.h, f.w, dy, dh, f.opt);
 
     // Oracle: d(dense h) = dy * W^T, gathered at the pattern.
-    Matrix dh_dense(64, 128);
-    gemmTransB(dy, f.w, dh_dense);
+    Matrix dh_dense(64, 128), wt;
+    gemmTransB(dy, f.w, wt, dh_dense);
     for (NodeId i = 0; i < dh.rows(); ++i)
         for (std::uint32_t kk = 0; kk < dh.dimK(); ++kk)
             ASSERT_NEAR(dh.dataRow(i)[kk],

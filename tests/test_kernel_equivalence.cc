@@ -264,15 +264,15 @@ TEST_P(KernelEquivalence, LinearBackwardCbsrBitwiseMatchesDense)
     Matrix dense;
     mk.cbsr.decompress(dense);
 
-    Matrix dw_dense, db_dense, dx_dense;
+    Matrix dw_dense, db_dense, dx_dense, wt;
     gemmTransA(x, dense, dw_dense);
     columnSums(dense, db_dense);
-    gemmTransB(dense, w, dx_dense);
+    gemmTransB(dense, w, wt, dx_dense);
 
     Matrix dw, db, dx;
     cbsrGemmTransA(x, mk.cbsr, dw);
     cbsrColumnSums(mk.cbsr, db);
-    cbsrGemmTransB(mk.cbsr, w, dx);
+    cbsrGemmTransB(mk.cbsr, w, wt, dx);
 
     EXPECT_TRUE(dw.equals(dw_dense));
     EXPECT_TRUE(db.equals(db_dense));
@@ -454,11 +454,11 @@ TEST_F(DiskGraphEquivalence, FusedForwardMatchesUnfusedOnDiskGraph)
     fillNormal(xin, rng, 0.0f, 1.0f);
     Matrix dense;
     mk.cbsr.decompress(dense);
-    Matrix dw_dense, dx_dense, dw, dx;
+    Matrix dw_dense, dx_dense, dw, dx, wt;
     gemmTransA(xin, dense, dw_dense);
-    gemmTransB(dense, w, dx_dense);
+    gemmTransB(dense, w, wt, dx_dense);
     cbsrGemmTransA(xin, mk.cbsr, dw);
-    cbsrGemmTransB(mk.cbsr, w, dx);
+    cbsrGemmTransB(mk.cbsr, w, wt, dx);
     EXPECT_TRUE(dw.equals(dw_dense));
     EXPECT_TRUE(dx.equals(dx_dense));
 }

@@ -13,11 +13,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "core/linear_backward_cbsr.hh"
 #include "core/maxk.hh"
 #include "core/spgemm_forward.hh"
 #include "core/sspmm_backward.hh"
@@ -27,8 +29,11 @@
 #include "kernels/spmm_ref.hh"
 #include "kernels/spmm_row_wise.hh"
 #include "nn/gnn_layer.hh"
+#include "support/comparators.hh"
 #include "support/fixtures.hh"
+#include "support/oracles.hh"
 #include "tensor/init.hh"
+#include "tensor/ops.hh"
 
 namespace maxk
 {
@@ -468,6 +473,192 @@ INSTANTIATE_TEST_SUITE_P(
                                          test::GraphShape::Star),
                        ::testing::Bool()),
     sweepName);
+
+/* ---------------------------------------------- GEMM determinism ----- */
+
+/** C is rows x cols; the inner (folded) dimension is inner. */
+struct GemmShape
+{
+    std::size_t rows;
+    std::size_t inner;
+    std::size_t cols;
+};
+
+std::string
+gemmShapeName(const ::testing::TestParamInfo<GemmShape> &info)
+{
+    const GemmShape &s = info.param;
+    return "m" + std::to_string(s.rows) + "_k" + std::to_string(s.inner) +
+           "_n" + std::to_string(s.cols);
+}
+
+/**
+ * An operand carrying every value the blocked kernels must fold exactly
+ * like the serial loops: whole zero rows (serve's padded batch rows;
+ * rows 8, 18, ... hold -0, so a gemmAccum entry value there survives
+ * only if A's zero row is skipped), scattered +0 and -0, and entries
+ * scaled by 1e-20 or 1e-24 whose products with each other underflow to
+ * subnormals or to ±0.
+ */
+Matrix
+gemmOperand(std::size_t rows, std::size_t cols, std::uint64_t seed)
+{
+    Matrix m(rows, cols);
+    Rng rng(seed);
+    fillNormal(m, rng, 0.0f, 1.0f);
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c) {
+            const std::size_t h = r * 31 + c * 17 + seed;
+            Float &v = m.at(r, c);
+            if (r % 5 == 3)
+                v = r % 10 == 8 ? -0.0f : 0.0f;
+            else if (h % 7 == 0)
+                v = 0.0f;
+            else if (h % 11 == 0)
+                v = -0.0f;
+            else if (h % 13 == 0)
+                v *= 1e-20f;
+            else if (h % 19 == 0)
+                v *= 1e-24f;
+        }
+    return m;
+}
+
+/** A CBSR gradient over `origin` columns whose k values per row are
+ *  src's entries at ascending, evenly strided columns. */
+CbsrMatrix
+gemmCbsrOperand(const Matrix &src, std::uint32_t k)
+{
+    const auto origin = static_cast<std::uint32_t>(src.cols());
+    const std::uint32_t stride = origin / k;
+    CbsrMatrix ds(static_cast<NodeId>(src.rows()), k, origin);
+    for (NodeId r = 0; r < ds.rows(); ++r)
+        for (std::uint32_t kk = 0; kk < k; ++kk) {
+            const std::uint32_t col = kk * stride + r % stride;
+            ds.setIndex(r, kk, col);
+            ds.dataRow(r)[kk] = src.at(r, col);
+        }
+    return ds;
+}
+
+class GemmThreadSweep : public ::testing::TestWithParam<GemmShape>
+{
+};
+
+/**
+ * The blocked, row-parallel GEMMs and the CBSR linear backward against
+ * the serial loops that define them (tests/support/oracles.hh):
+ * bit-identical output, -0 signs included, at every worker count. Row
+ * counts cover every remainder mod the 4-row block, and counts below
+ * the row grain.
+ */
+TEST_P(GemmThreadSweep, BitwiseMatchesSerialLoops)
+{
+    ThreadGuard guard;
+    const GemmShape s = GetParam();
+    const Matrix a = gemmOperand(s.rows, s.inner, 1);   // m x k
+    const Matrix b = gemmOperand(s.inner, s.cols, 2);   // k x n
+    const Matrix at = gemmOperand(s.inner, s.rows, 3);  // k x m
+    const Matrix bt = gemmOperand(s.cols, s.inner, 4);  // n x k
+    const Matrix c_entry = gemmOperand(s.rows, s.cols, 5);
+    const Matrix x = gemmOperand(s.rows, s.cols, 6);    // m x n
+    const CbsrMatrix ds = gemmCbsrOperand(
+        a, static_cast<std::uint32_t>(std::min<std::size_t>(s.inner, 8)));
+    Matrix ds_dense;
+    ds.decompress(ds_dense);
+
+    Matrix want_accum = c_entry;
+    test::referenceGemmAccum(a, b, want_accum);
+    Matrix want_gemm(s.rows, s.cols);
+    test::referenceGemmAccum(a, b, want_gemm);
+    Matrix want_ta, want_tb, want_cbsr, want_cbsr_ta;
+    test::referenceGemmTransA(at, b, want_ta);
+    test::referenceGemmTransB(a, bt, want_tb);
+    test::referenceCbsrGemmTransB(ds, bt, want_cbsr);
+    // cbsrGemmTransA's contract: gemmTransA over the decompressed rows.
+    test::referenceGemmTransA(x, ds_dense, want_cbsr_ta);
+
+    Matrix c, workspace;
+    for (std::uint32_t t : kThreadSweep) {
+        setDefaultThreads(t);
+        c = c_entry;
+        gemmAccum(a, b, c);
+        EXPECT_TRUE(c.equals(want_accum)) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_accum)) << t;
+        gemm(a, b, c);
+        EXPECT_TRUE(c.equals(want_gemm)) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_gemm)) << t;
+        gemmTransA(at, b, c);
+        EXPECT_TRUE(c.equals(want_ta)) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_ta)) << t;
+        gemmTransB(a, bt, workspace, c);
+        EXPECT_TRUE(c.equals(want_tb)) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_tb)) << t;
+        cbsrGemmTransB(ds, bt, workspace, c);
+        EXPECT_TRUE(c.equals(want_cbsr)) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_cbsr)) << t;
+        cbsrGemmTransA(x, ds, c);
+        EXPECT_TRUE(c.equals(want_cbsr_ta)) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_cbsr_ta)) << t;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmThreadSweep,
+    ::testing::Values(GemmShape{1, 5, 1}, GemmShape{2, 7, 7},
+                      GemmShape{3, 9, 41}, GemmShape{7, 16, 256},
+                      GemmShape{13, 33, 41}, GemmShape{18, 24, 7},
+                      GemmShape{67, 40, 256}, GemmShape{129, 17, 41},
+                      GemmShape{130, 64, 1}),
+    gemmShapeName);
+
+/**
+ * The non-finite contract: an inf in B opposite a zero A entry is
+ * skipped by gemmAccum and gemmTransA (their serial loops skipped zero
+ * A terms) but folds 0 * inf = NaN in gemmTransB and cbsrGemmTransB
+ * (plain dot products, no skip) — at every worker count.
+ */
+TEST(GemmNonFinite, InfOppositeZeroFollowsEachKernelsSkipRule)
+{
+    ThreadGuard guard;
+    const Float inf = std::numeric_limits<Float>::infinity();
+    Rng rng(12);
+    Matrix a(9, 6), b(6, 5), at(6, 9), bt(5, 6);
+    for (Matrix *m : {&a, &b, &at, &bt})
+        fillNormal(*m, rng, 0.0f, 1.0f);
+    a.at(4, 2) = 0.0f;  // meets b(2, 3) and bt(3, 2)
+    at.at(2, 4) = 0.0f; // meets b(2, 3)
+    b.at(2, 3) = inf;
+    bt.at(3, 2) = inf;
+    const CbsrMatrix ds = gemmCbsrOperand(a, 6); // keeps a(4, 2) = 0
+
+    Matrix want_accum(9, 5), want_ta, want_tb, want_cbsr;
+    test::referenceGemmAccum(a, b, want_accum);
+    test::referenceGemmTransA(at, b, want_ta);
+    test::referenceGemmTransB(a, bt, want_tb);
+    test::referenceCbsrGemmTransB(ds, bt, want_cbsr);
+    ASSERT_TRUE(std::isfinite(want_accum.at(4, 3)));
+    ASSERT_TRUE(std::isfinite(want_ta.at(4, 3)));
+    ASSERT_TRUE(std::isnan(want_tb.at(4, 3)));
+    ASSERT_TRUE(std::isnan(want_cbsr.at(4, 3)));
+
+    Matrix c, workspace;
+    for (std::uint32_t t : kThreadSweep) {
+        setDefaultThreads(t);
+        gemm(a, b, c);
+        EXPECT_TRUE(std::isfinite(c.at(4, 3))) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_accum)) << t;
+        gemmTransA(at, b, c);
+        EXPECT_TRUE(std::isfinite(c.at(4, 3))) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_ta)) << t;
+        gemmTransB(a, bt, workspace, c);
+        EXPECT_TRUE(std::isnan(c.at(4, 3))) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_tb)) << t;
+        cbsrGemmTransB(ds, bt, workspace, c);
+        EXPECT_TRUE(std::isnan(c.at(4, 3))) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_cbsr)) << t;
+    }
+}
 
 } // namespace
 } // namespace maxk

@@ -147,19 +147,20 @@ TEST(Gemm, TransAMatchesExplicitTranspose)
     transpose(a, at);
     gemm(at, b, expect);
     gemmTransA(a, b, got);
-    EXPECT_TRUE(got.approxEquals(expect, 1e-4f));
+    EXPECT_TRUE(got.equals(expect));
 }
 
 TEST(Gemm, TransBMatchesExplicitTranspose)
 {
     const Matrix a = randomMatrix(6, 4, 8);
     const Matrix b = randomMatrix(5, 4, 9);
-    Matrix bt, expect, got;
+    Matrix bt, expect, workspace, got;
     transpose(b, bt);
     gemm(a, bt, expect);
     got.resize(6, 5);
-    gemmTransB(a, b, got);
-    EXPECT_TRUE(got.approxEquals(expect, 1e-4f));
+    gemmTransB(a, b, workspace, got);
+    EXPECT_TRUE(got.equals(expect));
+    EXPECT_TRUE(workspace.equals(bt));
 }
 
 TEST(GemmDeathTest, InnerDimensionMismatchPanics)

@@ -19,6 +19,7 @@
 #include "kernels/spmm_gnna.hh"
 #include "kernels/spmm_row_wise.hh"
 #include "nn/gnn_layer.hh"
+#include "nn/linear.hh"
 #include "nn/loss.hh"
 #include "nn/model.hh"
 #include "nn/optimizer.hh"
@@ -136,7 +137,7 @@ TEST(KernelWorkspaceReuse, FastAggregationPathsAllocateNothingWhenWarm)
     Matrix x(g.numNodes(), 32);
     fillNormal(x, rng, 0.0f, 1.0f);
 
-    Matrix y_dense, y_cbsr, dw, db, dx;
+    Matrix y_dense, y_cbsr, dw, db, dx, wt;
     CbsrMatrix cbsr, dxs;
     nn::maxkCompressFast(x, 8, cbsr);
     nn::aggregateDense(g, x, y_dense);
@@ -147,7 +148,15 @@ TEST(KernelWorkspaceReuse, FastAggregationPathsAllocateNothingWhenWarm)
     fillNormal(w, rng, 0.0f, 0.5f);
     cbsrGemmTransA(x, dxs, dw);
     cbsrColumnSums(dxs, db);
-    cbsrGemmTransB(dxs, w, dx);
+    cbsrGemmTransB(dxs, w, wt, dx);
+
+    // The dense Linear backward (gemmTransA, then gemmTransB with W^T
+    // in the spent dW workspace) on a non-square layer, so that
+    // workspace alternates between in x out and out x in.
+    nn::Linear lin(32, 24, rng, "lin");
+    Matrix dy(g.numNodes(), 24), dx_lin;
+    fillNormal(dy, rng, 0.0f, 1.0f);
+    lin.backward(x, dy, dx_lin);
 
     EXPECT_EQ(allocsDuring([&] {
                   nn::maxkCompressFast(x, 8, cbsr);
@@ -157,7 +166,8 @@ TEST(KernelWorkspaceReuse, FastAggregationPathsAllocateNothingWhenWarm)
                   nn::aggregateCbsrBackward(g, x, dxs);
                   cbsrGemmTransA(x, dxs, dw);
                   cbsrColumnSums(dxs, db);
-                  cbsrGemmTransB(dxs, w, dx);
+                  cbsrGemmTransB(dxs, w, wt, dx);
+                  lin.backward(x, dy, dx_lin);
               }),
               0u);
 }
