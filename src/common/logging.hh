@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace maxk
 {
@@ -40,12 +41,14 @@ void logMessage(LogLevel level, const std::string &msg);
 /**
  * Check a runtime invariant; panic with a formatted message on failure.
  * Kept as a function (not a macro) so call sites stay expression-like.
+ * A string_view so that a literal message costs no heap allocation when
+ * the check passes (per-row kernels call this on every row).
  */
 inline void
-checkInvariant(bool ok, const std::string &msg)
+checkInvariant(bool ok, std::string_view msg)
 {
     if (!ok)
-        panic(msg);
+        panic(std::string(msg));
 }
 
 } // namespace maxk

@@ -18,125 +18,100 @@ namespace
 constexpr std::size_t kRowGrain = 16;
 
 /**
- * Top-k selection over a row containing non-finite values. Ordering:
- * +inf always wins, finite values rank by magnitude (bisection), -inf
- * ranks below every finite value, and NaN sorts last — it is selected
- * only when k exceeds the count of all non-NaN entries. Ties resolve in
- * ascending column order throughout, like the finite path.
+ * The cut one pivot search finds in a row: which entries survive. One
+ * ascending sweep (forEachSurvivor) applies it, so a caller writes the k
+ * survivors straight into their destination with no scratch list.
  */
-std::uint32_t
-pivotSelectNonFinite(const Float *row, std::uint32_t n, std::uint32_t k,
-                     bool any_finite, Float lo, Float hi,
-                     std::vector<std::uint32_t> &selected)
+struct PivotCut
 {
-    std::vector<char> keep(n, 0);
-    std::uint32_t remaining = k;
-    std::uint32_t iterations = 0;
+    Float threshold = 0.0f;      //!< finite entries above it survive
+    Float floor = 0.0f;          //!< tie region (floor, threshold] ...
+    std::uint32_t ties = 0;      //!< ... of which the first `ties` survive
+    std::uint32_t posInf = 0;    //!< the first posInf +inf entries survive
+    std::uint32_t negInf = 0;    //!< the first negInf -inf entries survive
+    std::uint32_t nan = 0;       //!< the first nan NaN entries survive
+    std::uint32_t iterations = 0; //!< bisection iterations used
+};
 
-    // 1) +inf, ascending column order.
-    for (std::uint32_t i = 0; i < n && remaining > 0; ++i) {
-        if (std::isinf(row[i]) && row[i] > 0.0f) {
-            keep[i] = 1;
-            --remaining;
-        }
-    }
-
-    // 2) Top-`remaining` finite values — the finite-path bisection with
-    //    every count restricted to finite entries.
-    std::uint32_t n_fin = 0;
-    for (std::uint32_t i = 0; i < n; ++i)
-        n_fin += std::isfinite(row[i]) ? 1 : 0;
-    if (remaining >= n_fin) {
+/**
+ * Bisect the pivot of the top `want` counted entries, whose min and max
+ * are lo and hi. FiniteOnly counts finite entries only (the non-finite
+ * ordering below); without it every entry counts, which is the same
+ * count on an all-finite row.
+ */
+template <bool FiniteOnly>
+void
+bisectCut(const Float *row, std::uint32_t n, std::uint32_t want, Float lo,
+          Float hi, PivotCut &cut)
+{
+    auto count_above = [&](Float pivot) {
+        std::uint32_t c = 0;
         for (std::uint32_t i = 0; i < n; ++i)
-            if (std::isfinite(row[i]))
-                keep[i] = 1;
-        remaining -= n_fin;
-    } else if (remaining > 0 && any_finite) {
-        auto count_above = [&](Float pivot) {
-            std::uint32_t c = 0;
-            for (std::uint32_t i = 0; i < n; ++i)
-                c += (std::isfinite(row[i]) && row[i] > pivot) ? 1 : 0;
-            return c;
-        };
-        Float flo =
-            std::nextafter(lo, -std::numeric_limits<Float>::infinity());
-        Float fhi = hi;
-        bool exact = false;
-        Float threshold = fhi;
-        for (std::uint32_t it = 0; it < 48; ++it) {
-            const Float mid = 0.5f * (flo + fhi);
-            if (!(mid > flo) || !(mid < fhi))
-                break;
-            ++iterations;
-            const std::uint32_t c = count_above(mid);
-            if (c == remaining) {
-                threshold = mid;
-                exact = true;
-                break;
-            }
-            if (c > remaining)
-                flo = mid;
-            else
-                fhi = mid;
-        }
-        if (!exact)
-            threshold = fhi;
+            c += ((!FiniteOnly || std::isfinite(row[i])) && row[i] > pivot)
+                     ? 1
+                     : 0;
+        return c;
+    };
 
-        std::uint32_t above = count_above(threshold);
-        std::uint32_t need_ties = remaining - above;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (!std::isfinite(row[i]))
-                continue;
-            if (row[i] > threshold) {
-                keep[i] = 1;
-            } else if (need_ties > 0 && row[i] > flo) {
-                keep[i] = 1;
-                --need_ties;
-            }
+    // Bisection invariant: count(> flo) >= want >= count(> fhi).
+    // flo starts just below min (count = all >= want); fhi at max
+    // (count = 0).
+    Float flo = std::nextafter(lo, -std::numeric_limits<Float>::infinity());
+    Float fhi = hi;
+    bool exact = false;
+    Float threshold = fhi;
+    for (std::uint32_t it = 0; it < 48; ++it) {
+        const Float mid = 0.5f * (flo + fhi);
+        if (!(mid > flo) || !(mid < fhi))
+            break; // float precision exhausted: tie region reached
+        ++cut.iterations;
+        const std::uint32_t c = count_above(mid);
+        if (c == want) {
+            threshold = mid;
+            exact = true;
+            break;
         }
-        remaining = 0;
+        if (c > want)
+            flo = mid;
+        else
+            fhi = mid;
     }
+    if (!exact)
+        threshold = fhi;
 
-    // 3) -inf, then 4) NaN, each in ascending column order.
-    for (std::uint32_t i = 0; i < n && remaining > 0; ++i) {
-        if (std::isinf(row[i]) && row[i] < 0.0f && !keep[i]) {
-            keep[i] = 1;
-            --remaining;
-        }
-    }
-    for (std::uint32_t i = 0; i < n && remaining > 0; ++i) {
-        if (std::isnan(row[i])) {
-            keep[i] = 1;
-            --remaining;
-        }
-    }
-
-    for (std::uint32_t i = 0; i < n; ++i)
-        if (keep[i])
-            selected.push_back(i);
-    return iterations;
+    // All strictly-above survivors first (<= want of them by the
+    // invariant), then the remaining slots go to tie values in
+    // (flo, threshold] in ascending column order — deterministic tie
+    // breaking.
+    cut.threshold = threshold;
+    cut.floor = flo;
+    cut.ties = want - count_above(threshold);
 }
 
-} // namespace
-
-std::uint32_t
-pivotSelect(const Float *row, std::uint32_t n, std::uint32_t k,
-            std::vector<std::uint32_t> &selected)
+/**
+ * Find the top-k cut of row[0..n). A row holding NaN/±inf breaks the
+ * bisection invariant, so it takes an explicit ordering: +inf always
+ * wins, finite values rank by magnitude (bisection over the finite
+ * entries), -inf ranks below every finite value, and NaN sorts last —
+ * it is selected only when k exceeds the count of all non-NaN entries.
+ * Ties resolve in ascending column order throughout.
+ */
+PivotCut
+pivotCut(const Float *row, std::uint32_t n, std::uint32_t k)
 {
-    selected.clear();
     checkInvariant(k >= 1 && k <= n, "pivotSelect: need 1 <= k <= n");
-
+    constexpr Float kInf = std::numeric_limits<Float>::infinity();
+    PivotCut cut;
     if (k == n) {
-        for (std::uint32_t i = 0; i < n; ++i)
-            selected.push_back(i);
-        return 0;
+        cut.threshold = -kInf;
+        cut.posInf = cut.negInf = cut.nan = n;
+        return cut;
     }
 
     // One classification sweep replaces the plain min/max scan: lo/hi
     // cover only finite entries, and the non-finite counts route rows
-    // containing NaN/±inf (which break the bisection invariant) to the
-    // explicit-ordering fallback.
-    std::uint32_t n_nonfinite = 0;
+    // containing NaN/±inf to the explicit ordering.
+    std::uint32_t n_pos_inf = 0, n_neg_inf = 0, n_nan = 0;
     bool any_finite = false;
     Float lo = 0.0f, hi = 0.0f;
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -149,70 +124,95 @@ pivotSelect(const Float *row, std::uint32_t n, std::uint32_t k,
                 lo = std::min(lo, v);
                 hi = std::max(hi, v);
             }
+        } else if (std::isnan(v)) {
+            ++n_nan;
+        } else if (v > 0.0f) {
+            ++n_pos_inf;
         } else {
-            ++n_nonfinite;
+            ++n_neg_inf;
         }
     }
-    if (n_nonfinite > 0) {
-        const std::uint32_t iters = pivotSelectNonFinite(
-            row, n, k, any_finite, lo, hi, selected);
-        checkInvariant(selected.size() == k,
-                       "pivotSelect: did not select exactly k elements");
-        return iters;
+    const std::uint32_t n_fin = n - n_pos_inf - n_neg_inf - n_nan;
+    if (n_fin == n) {
+        bisectCut<false>(row, n, k, lo, hi, cut);
+        return cut;
     }
 
-    auto count_above = [&](Float pivot) {
-        std::uint32_t c = 0;
-        for (std::uint32_t i = 0; i < n; ++i)
-            c += row[i] > pivot ? 1 : 0;
-        return c;
-    };
-
-    // Bisection invariant: count(> flo) >= k >= count(> fhi).
-    // flo starts just below min (count = n >= k); fhi at max (count = 0).
-    Float flo = std::nextafter(lo, -std::numeric_limits<Float>::infinity());
-    Float fhi = hi;
-    std::uint32_t iterations = 0;
-    bool exact = false;
-    Float threshold = fhi;
-    for (std::uint32_t it = 0; it < 48; ++it) {
-        const Float mid = 0.5f * (flo + fhi);
-        if (!(mid > flo) || !(mid < fhi))
-            break; // float precision exhausted: tie region reached
-        ++iterations;
-        const std::uint32_t c = count_above(mid);
-        if (c == k) {
-            threshold = mid;
-            exact = true;
-            break;
-        }
-        if (c > k)
-            flo = mid;
-        else
-            fhi = mid;
+    std::uint32_t remaining = k;
+    cut.posInf = std::min(remaining, n_pos_inf);
+    remaining -= cut.posInf;
+    if (remaining >= n_fin) {
+        cut.threshold = -kInf; // every finite entry
+        remaining -= n_fin;
+    } else if (remaining > 0) {
+        bisectCut<true>(row, n, remaining, lo, hi, cut);
+        remaining = 0;
+    } else {
+        cut.threshold = kInf; // no finite entry
     }
-    if (!exact)
-        threshold = fhi;
+    cut.negInf = std::min(remaining, n_neg_inf);
+    remaining -= cut.negInf;
+    cut.nan = std::min(remaining, n_nan);
+    return cut;
+}
 
-    // All strictly-above survivors first (<= k of them by the invariant),
-    // then fill remaining slots with tie values in (flo, threshold] in
-    // ascending column order — deterministic tie breaking.
-    std::uint32_t above = 0;
-    for (std::uint32_t i = 0; i < n; ++i)
-        above += row[i] > threshold ? 1 : 0;
-    std::uint32_t need_ties = k - above;
-
+/** Call take(i) for every surviving column i of the cut, ascending. */
+template <class Take>
+void
+forEachSurvivor(const Float *row, std::uint32_t n, PivotCut cut,
+                Take &&take)
+{
     for (std::uint32_t i = 0; i < n; ++i) {
-        if (row[i] > threshold) {
-            selected.push_back(i);
-        } else if (need_ties > 0 && row[i] > flo) {
-            selected.push_back(i);
-            --need_ties;
+        const Float v = row[i];
+        std::uint32_t *budget;
+        if (std::isfinite(v)) {
+            if (v > cut.threshold) {
+                take(i);
+                continue;
+            }
+            if (!(v > cut.floor))
+                continue;
+            budget = &cut.ties;
+        } else if (std::isnan(v)) {
+            budget = &cut.nan;
+        } else {
+            budget = v > 0.0f ? &cut.posInf : &cut.negInf;
+        }
+        if (*budget > 0) {
+            --*budget;
+            take(i);
         }
     }
+}
+
+} // namespace
+
+std::uint32_t
+pivotSelect(const Float *row, std::uint32_t n, std::uint32_t k,
+            std::vector<std::uint32_t> &selected)
+{
+    selected.clear();
+    const PivotCut cut = pivotCut(row, n, k);
+    forEachSurvivor(row, n, cut,
+                    [&](std::uint32_t i) { selected.push_back(i); });
     checkInvariant(selected.size() == k,
                    "pivotSelect: did not select exactly k elements");
-    return iterations;
+    return cut.iterations;
+}
+
+std::uint32_t
+maxkSelectRow(const Float *row, std::uint32_t dim, std::uint32_t k,
+              CbsrMatrix &out, NodeId r)
+{
+    const PivotCut cut = pivotCut(row, dim, k);
+    Float *data = out.dataRow(r);
+    std::uint32_t kk = 0;
+    forEachSurvivor(row, dim, cut, [&](std::uint32_t i) {
+        data[kk] = row[i];
+        out.setIndex(r, kk, i);
+        ++kk;
+    });
+    return cut.iterations;
 }
 
 MaxKResult
@@ -247,7 +247,6 @@ maxkCompress(const Matrix &x, std::uint32_t k, const SimOptions &opt,
 
     gpusim::runSharded(ctx, chunks, [&](auto &dev, std::uint32_t tid,
                                         IndexRange rows) {
-        std::vector<std::uint32_t> selected;
         std::uint64_t total_iters = 0;
         std::uint32_t max_iters = 0;
         for (std::size_t r = rows.begin; r < rows.end; ++r) {
@@ -258,7 +257,8 @@ maxkCompress(const Matrix &x, std::uint32_t k, const SimOptions &opt,
             dev.globalRead(warp, row, dim * sizeof(Float));
             dev.sharedOps(dim, dim * sizeof(Float));
 
-            const std::uint32_t iters = pivotSelect(row, dim, k, selected);
+            const std::uint32_t iters = maxkSelectRow(
+                row, dim, k, result.cbsr, static_cast<NodeId>(r));
             total_iters += iters;
             max_iters = std::max(max_iters, iters);
             // Each bisection pass re-scans the buffered row on-chip.
@@ -269,12 +269,8 @@ maxkCompress(const Matrix &x, std::uint32_t k, const SimOptions &opt,
             dev.sharedOps(std::uint64_t(iters + 1) * dim / 20, 0);
             dev.flops(std::uint64_t(iters + 1) * dim);
 
-            Float *data = result.cbsr.dataRow(static_cast<NodeId>(r));
-            for (std::uint32_t kk = 0; kk < k; ++kk) {
-                data[kk] = row[selected[kk]];
-                result.cbsr.setIndex(static_cast<NodeId>(r), kk,
-                                     selected[kk]);
-            }
+            const Float *data =
+                result.cbsr.dataRow(static_cast<NodeId>(r));
             dev.globalWrite(warp, data, result.cbsr.dataRowBytes());
             dev.globalWrite(warp,
                             result.cbsr.indexRowAddr(
@@ -303,13 +299,13 @@ maxkDense(const Matrix &x, std::uint32_t k, Matrix &out)
     out.setZero();
     parallelFor(0, x.rows(), kRowGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
-                    std::vector<std::uint32_t> selected;
+                    const auto dim = static_cast<std::uint32_t>(x.cols());
                     for (std::size_t r = begin; r < end; ++r) {
-                        pivotSelect(x.row(r),
-                                    static_cast<std::uint32_t>(x.cols()),
-                                    k, selected);
-                        for (std::uint32_t idx : selected)
-                            out.at(r, idx) = x.at(r, idx);
+                        const Float *row = x.row(r);
+                        forEachSurvivor(row, dim, pivotCut(row, dim, k),
+                                        [&](std::uint32_t idx) {
+                                            out.at(r, idx) = row[idx];
+                                        });
                     }
                 });
 }
@@ -326,14 +322,14 @@ maxkBackwardDense(const Matrix &forward_input, std::uint32_t k,
     parallelFor(
         0, forward_input.rows(), kRowGrain,
         [&](std::uint32_t, std::size_t begin, std::size_t end) {
-            std::vector<std::uint32_t> selected;
+            const auto dim =
+                static_cast<std::uint32_t>(forward_input.cols());
             for (std::size_t r = begin; r < end; ++r) {
-                pivotSelect(forward_input.row(r),
-                            static_cast<std::uint32_t>(
-                                forward_input.cols()),
-                            k, selected);
-                for (std::uint32_t idx : selected)
-                    grad_in.at(r, idx) = grad_out.at(r, idx);
+                const Float *row = forward_input.row(r);
+                forEachSurvivor(row, dim, pivotCut(row, dim, k),
+                                [&](std::uint32_t idx) {
+                                    grad_in.at(r, idx) = grad_out.at(r, idx);
+                                });
             }
         });
 }

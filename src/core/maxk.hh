@@ -20,6 +20,7 @@
 #define MAXK_CORE_MAXK_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "core/cbsr.hh"
 #include "gpusim/kernel_stats.hh"
@@ -79,6 +80,15 @@ void maxkBackwardDense(const Matrix &forward_input, std::uint32_t k,
 std::uint32_t pivotSelect(const Float *row, std::uint32_t n,
                           std::uint32_t k,
                           std::vector<std::uint32_t> &selected);
+
+/**
+ * MaxK of one row straight into row r of a CBSR matrix shaped for k of
+ * dim: pivotSelect's survivors of row[0..dim), ascending, their values
+ * in the data row and their columns in the index row, with no scratch
+ * list. Returns the bisection iterations used.
+ */
+std::uint32_t maxkSelectRow(const Float *row, std::uint32_t dim,
+                            std::uint32_t k, CbsrMatrix &out, NodeId r);
 
 } // namespace maxk
 

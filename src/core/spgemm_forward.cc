@@ -169,22 +169,17 @@ spgemmForwardFused(const CsrGraph &a, const EdgeGroupPartition &part,
     gpusim::runSharded(ctx, row_chunks, [&](auto &dev, std::uint32_t,
                                             IndexRange rows) {
         dev.usePhase("select+compress");
-        std::vector<std::uint32_t> selected;
         for (std::size_t r = rows.begin; r < rows.end; ++r) {
             const std::uint64_t warp = r; // one warp per row, id == row
             const Float *row = x.row(r);
             dev.globalRead(warp, row, dim * sizeof(Float));
             dev.sharedOps(dim, dim * sizeof(Float));
 
-            const std::uint32_t iters = pivotSelect(row, dim, k, selected);
+            const std::uint32_t iters =
+                maxkSelectRow(row, dim, k, xs, static_cast<NodeId>(r));
             dev.sharedOps(std::uint64_t(iters + 1) * dim / 20, 0);
             dev.flops(std::uint64_t(iters + 1) * dim);
 
-            Float *data = xs.dataRow(static_cast<NodeId>(r));
-            for (std::uint32_t kk = 0; kk < k; ++kk) {
-                data[kk] = row[selected[kk]];
-                xs.setIndex(static_cast<NodeId>(r), kk, selected[kk]);
-            }
             // sp_data is handed to the aggregation stage on-chip — the
             // global store (and its later reload) is the round-trip the
             // fusion removes. One warp-wide st.shared per 32 lanes.

@@ -71,6 +71,11 @@ ShardedModel::backward(Communicator &comm, HaloExchange &ex,
             ex.reverseCbsr(comm, layer.gradAggCbsr());
         else
             ex.reverseDense(comm, layer.gradAggDense());
+        if (l == 0) {
+            // Nothing reads the input gradient of layer 0.
+            layer.backwardPost(shard_.extGraph, *upstream);
+            break;
+        }
         layer.backwardPost(shard_.extGraph, *upstream, gradPrev_);
         std::swap(gradCur_, gradPrev_);
         upstream = &gradCur_;

@@ -39,9 +39,18 @@ runGnna(const CsrGraph &a, const Matrix &x, Matrix &y, const SimOptions &opt)
 }
 
 void
-fastRef(const CsrGraph &a, const Matrix &x, Matrix &y)
+fastRef(const CsrGraph &a, const Matrix &x, Matrix &y, RowSet rows)
 {
-    spmmReference(a, x, y);
+    spmmReference(a, x, y, rows);
+}
+
+void
+fastTransposed(const CsrGraph &a, const Matrix &x, Matrix &y, RowSet rows)
+{
+    // A^T * X scatters into arbitrary output rows: no row-set form.
+    checkInvariant(rows.all(),
+                   "spmm_outer_naive: a transposed SpMM takes no row set");
+    spmmTransposedFast(a, x, y);
 }
 
 constexpr std::array<KernelVariant, 6> kVariants{{
@@ -68,7 +77,7 @@ constexpr std::array<KernelVariant, 6> kVariants{{
     {"spmm_outer_naive",
      "naive outer-product Y = A^T * X: scatter atomics per nonzero "
      "(backward-shaped baseline)",
-     true, true, false, &spmmOuterNaive, &spmmTransposedFast},
+     true, true, false, &spmmOuterNaive, &fastTransposed},
 }};
 
 } // namespace

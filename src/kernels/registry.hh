@@ -12,6 +12,8 @@
  *            device model. All forward variants share the same fast
  *            loops (the schedule only changes the traffic model), so
  *            training numerics are invariant under kernel selection.
+ *            It takes a RowSet (tensor/row_set.hh): the rows of the
+ *            output to compute, every row by default.
  *
  * Call sites name variants by string ("spmm_row_wise", ...); "auto"
  * resolves through the adaptive selector (kernels/selector.hh). The
@@ -30,6 +32,7 @@
 #include "graph/csr.hh"
 #include "kernels/sim_options.hh"
 #include "tensor/matrix.hh"
+#include "tensor/row_set.hh"
 
 namespace maxk::kernels
 {
@@ -39,7 +42,8 @@ using SpmmSimFn = gpusim::KernelStats (*)(const CsrGraph &, const Matrix &,
                                           Matrix &, const SimOptions &);
 
 /** Uniform functional fast-path signature. */
-using SpmmFastFn = void (*)(const CsrGraph &, const Matrix &, Matrix &);
+using SpmmFastFn = void (*)(const CsrGraph &, const Matrix &, Matrix &,
+                            RowSet);
 
 /** One registered SpMM implementation. */
 struct KernelVariant

@@ -1,5 +1,7 @@
 #include "kernels/spmm_fast.hh"
 
+#include <algorithm>
+
 #include "common/parallel.hh"
 #include "core/transpose_gather.hh"
 
@@ -12,16 +14,17 @@ constexpr std::size_t kRowGrain = 16;
 } // namespace
 
 void
-spmmRowWiseFast(const CsrGraph &a, const Matrix &x, Matrix &out)
+spmmRowWiseFast(const CsrGraph &a, const Matrix &x, Matrix &out,
+                RowSet rows)
 {
     const std::size_t dim = x.cols();
     out.ensureShape(a.numNodes(), dim);
-    out.setZero();
-    parallelFor(0, a.numNodes(), kRowGrain,
+    parallelFor(0, rows.size(a.numNodes()), kRowGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
                     for (std::size_t r = begin; r < end; ++r) {
-                        const NodeId i = static_cast<NodeId>(r);
+                        const NodeId i = static_cast<NodeId>(rows[r]);
                         Float *o = out.row(i);
+                        std::fill_n(o, dim, 0.0f);
                         for (EdgeId e = a.rowPtr()[i];
                              e < a.rowPtr()[i + 1]; ++e) {
                             const Float v = a.values()[e];

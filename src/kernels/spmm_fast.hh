@@ -18,13 +18,16 @@
 
 #include "graph/csr.hh"
 #include "tensor/matrix.hh"
+#include "tensor/row_set.hh"
 
 namespace maxk
 {
 
-/** out = A * x, fp32 accumulation, row-parallel. Bitwise-identical at
+/** out = A * x on the rows of `rows` (tensor/row_set.hh), fp32
+ *  accumulation in CSR edge order, row-parallel. Bitwise-identical at
  *  any MAXK_THREADS (one writer per output row). */
-void spmmRowWiseFast(const CsrGraph &a, const Matrix &x, Matrix &out);
+void spmmRowWiseFast(const CsrGraph &a, const Matrix &x, Matrix &out,
+                     RowSet rows = {});
 
 /** out = A^T * x, fp32 accumulation, without materialising the
  *  transpose. Bitwise-identical at any MAXK_THREADS (serial edge-order

@@ -48,11 +48,12 @@ aggregatorFor(GnnKind kind)
 }
 
 void
-aggregateDense(const CsrGraph &a, const Matrix &x, Matrix &out)
+aggregateDense(const CsrGraph &a, const Matrix &x, Matrix &out,
+               RowSet rows)
 {
     // The shared fp32 fast loop behind every registered forward variant
     // (kernels/spmm_fast.hh); the historical name stays for call sites.
-    spmmRowWiseFast(a, x, out);
+    spmmRowWiseFast(a, x, out, rows);
 }
 
 void
@@ -63,16 +64,17 @@ aggregateDenseTransposed(const CsrGraph &a, const Matrix &x, Matrix &out)
 }
 
 void
-aggregateCbsr(const CsrGraph &a, const CbsrMatrix &xs, Matrix &out)
+aggregateCbsr(const CsrGraph &a, const CbsrMatrix &xs, Matrix &out,
+              RowSet rows)
 {
     const std::uint32_t dim_k = xs.dimK();
     out.ensureShape(a.numNodes(), xs.dimOrigin());
-    out.setZero();
-    parallelFor(0, a.numNodes(), kRowGrain,
+    parallelFor(0, rows.size(a.numNodes()), kRowGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
                     for (std::size_t r = begin; r < end; ++r) {
-                        const NodeId i = static_cast<NodeId>(r);
+                        const NodeId i = static_cast<NodeId>(rows[r]);
                         Float *o = out.row(i);
+                        std::fill_n(o, out.cols(), 0.0f);
                         for (EdgeId e = a.rowPtr()[i];
                              e < a.rowPtr()[i + 1]; ++e) {
                             const NodeId j = a.colIdx()[e];
@@ -111,24 +113,17 @@ aggregateCbsrBackward(const CsrGraph &a, const Matrix &dxl,
 }
 
 void
-maxkCompressFast(const Matrix &x, std::uint32_t k, CbsrMatrix &out)
+maxkCompressFast(const Matrix &x, std::uint32_t k, CbsrMatrix &out,
+                 RowSet rows)
 {
     const NodeId n = static_cast<NodeId>(x.rows());
     const std::uint32_t dim = static_cast<std::uint32_t>(x.cols());
     out.ensureShape(n, k, dim);
-    parallelFor(0, n, kRowGrain,
+    parallelFor(0, rows.size(n), kRowGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
-                    std::vector<std::uint32_t> selected;
                     for (std::size_t r = begin; r < end; ++r) {
-                        const Float *row = x.row(r);
-                        pivotSelect(row, dim, k, selected);
-                        Float *data =
-                            out.dataRow(static_cast<NodeId>(r));
-                        for (std::uint32_t kk = 0; kk < k; ++kk) {
-                            data[kk] = row[selected[kk]];
-                            out.setIndex(static_cast<NodeId>(r), kk,
-                                         selected[kk]);
-                        }
+                        const NodeId row = static_cast<NodeId>(rows[r]);
+                        maxkSelectRow(x.row(row), dim, k, out, row);
                     }
                 });
 }
@@ -170,51 +165,63 @@ void
 GnnLayer::forwardCompute(const Matrix &x, bool training, Rng &rng)
 {
     dropout_.forward(x, xDropped_, training, rng);
-    linear1_.forward(xDropped_, y_);
-
-    usedCbsr_ = cfg_.nonlin == Nonlinearity::MaxK && !cfg_.lastLayer;
-    if (usedCbsr_) {
-        // MaxK -> CBSR (Fig. 2b path); aggregated in forwardCombine.
-        maxkCompressFast(y_, effectiveK(), cbsr_);
-    } else {
-        if (cfg_.lastLayer)
-            hDense_ = y_;  // identity: logits stay dense
-        else
-            reluForward(y_, hDense_);
-    }
+    forwardCompute(xDropped_, RowSet{});
 }
 
 void
 GnnLayer::forwardCombine(const CsrGraph &a, Matrix &out)
 {
+    forwardCombine(a, xDropped_, out, RowSet{});
+}
+
+void
+GnnLayer::forwardCompute(const Matrix &x, RowSet compute)
+{
+    linear1_.forward(x, y_, compute);
+
+    usedCbsr_ = cfg_.nonlin == Nonlinearity::MaxK && !cfg_.lastLayer;
     if (usedCbsr_) {
-        aggregateCbsr(a, cbsr_, out);
+        // MaxK -> CBSR (Fig. 2b path); aggregated in forwardCombine.
+        maxkCompressFast(y_, effectiveK(), cbsr_, compute);
+    } else if (cfg_.lastLayer) {
+        copyRows(y_, hDense_, compute); // identity: logits stay dense
+    } else {
+        reluForward(y_, hDense_, compute);
+    }
+}
+
+void
+GnnLayer::forwardCombine(const CsrGraph &a, const Matrix &x, Matrix &out,
+                         RowSet target)
+{
+    if (usedCbsr_) {
+        aggregateCbsr(a, cbsr_, out, target);
     } else {
         // Registry dispatch: every forward variant shares the same fp32
         // fast loop, so the configured variant ("auto" included) cannot
         // perturb training numerics — it selects the simulated schedule
         // profileEpoch charges for this aggregation.
         kernels::resolveSpmmVariant(cfg_.kernelVariant, a, hDense_.cols())
-            .fast(a, hDense_, out);
+            .fast(a, hDense_, out, target);
     }
 
     if (cfg_.kind == GnnKind::Sage) {
-        linear2_.forward(xDropped_, self_);
-        addInPlace(out, self_);
+        linear2_.forward(x, self_, target);
+        addInPlace(out, self_, target);
     } else if (cfg_.kind == GnnKind::Gin) {
         // out += (1 + eps) * h
         const Float w = 1.0f + cfg_.ginEps;
         if (usedCbsr_) {
             // Row-aligned scatter: each output row has one writer, so
             // the parallel sweep is bitwise-identical to the serial one.
-            parallelFor(0, cbsr_.rows(), kRowGrain,
+            parallelFor(0, target.size(cbsr_.rows()), kRowGrain,
                         [&](std::uint32_t, std::size_t begin,
                             std::size_t end) {
                             for (std::size_t r = begin; r < end; ++r) {
                                 const NodeId row =
-                                    static_cast<NodeId>(r);
+                                    static_cast<NodeId>(target[r]);
                                 const Float *data = cbsr_.dataRow(row);
-                                Float *o = out.row(r);
+                                Float *o = out.row(row);
                                 for (std::uint32_t kk = 0;
                                      kk < cbsr_.dimK(); ++kk)
                                     o[cbsr_.indexAt(row, kk)] +=
@@ -222,7 +229,7 @@ GnnLayer::forwardCombine(const CsrGraph &a, Matrix &out)
                             }
                         });
         } else {
-            axpy(out, w, hDense_);
+            axpy(out, w, hDense_, target);
         }
     }
 }
@@ -254,12 +261,9 @@ GnnLayer::backwardAgg(const CsrGraph &a, const Matrix &d_out)
 }
 
 void
-GnnLayer::backwardPost(const CsrGraph &a, const Matrix &d_out, Matrix &dx)
+GnnLayer::preActivationGrad(const Matrix &d_out)
 {
-    (void)a;
     const Float gin_w = 1.0f + cfg_.ginEps;
-
-    // Gradient w.r.t. the pre-activation y.
     if (usedCbsr_) {
         if (cfg_.kind == GnnKind::Gin) {
             // Direct (1+eps) h path, masked by the same pattern —
@@ -280,21 +284,39 @@ GnnLayer::backwardPost(const CsrGraph &a, const Matrix &d_out, Matrix &dx)
                             }
                         });
         }
-        // MaxK's backward reuses the forward sparsity (Sec. 3.1), so
-        // the gradient stays in CBSR form all the way into the linear
-        // backward — no dense decompress round-trip (ISSUE 4).
-        linear1_.backward(xDropped_, dcbsr_, dxDropped_);
-    } else {
-        if (cfg_.kind == GnnKind::Gin)
-            axpy(dh_, gin_w, d_out);
-        if (!cfg_.lastLayer)
-            reluBackward(y_, dh_, dy_);
-        // The last layer's nonlinearity is the identity: dh_ already is
-        // the pre-activation gradient, no move into dy_ (which would
-        // leave an empty buffer to reallocate next epoch).
-        const Matrix &dy = cfg_.lastLayer ? dh_ : dy_;
-        linear1_.backward(xDropped_, dy, dxDropped_);
+        return;
     }
+    if (cfg_.kind == GnnKind::Gin)
+        axpy(dh_, gin_w, d_out);
+    if (!cfg_.lastLayer)
+        reluBackward(y_, dh_, dy_);
+}
+
+void
+GnnLayer::backwardPost(const CsrGraph &a, const Matrix &d_out)
+{
+    (void)a;
+    preActivationGrad(d_out);
+    if (usedCbsr_)
+        linear1_.backward(xDropped_, dcbsr_);
+    else
+        linear1_.backward(xDropped_, denseGradY());
+    if (cfg_.kind == GnnKind::Sage)
+        linear2_.backward(xDropped_, d_out);
+}
+
+void
+GnnLayer::backwardPost(const CsrGraph &a, const Matrix &d_out, Matrix &dx)
+{
+    (void)a;
+    preActivationGrad(d_out);
+    // MaxK's backward reuses the forward sparsity (Sec. 3.1), so the
+    // gradient stays in CBSR form all the way into the linear backward —
+    // no dense decompress round-trip.
+    if (usedCbsr_)
+        linear1_.backward(xDropped_, dcbsr_, dxDropped_);
+    else
+        linear1_.backward(xDropped_, denseGradY(), dxDropped_);
 
     if (cfg_.kind == GnnKind::Sage) {
         linear2_.backward(xDropped_, d_out, dxSelf_);

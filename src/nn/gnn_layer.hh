@@ -15,6 +15,21 @@
  * The final layer of a network skips the nonlinearity (logits stay
  * dense), so both variants run one dense SpMM there.
  *
+ * Row-set forward (inference only): forwardCompute and forwardCombine
+ * also take a RowSet (tensor/row_set.hh), and then run Linear1 and the
+ * nonlinearity only on the layer's compute rows, and the aggregation
+ * plus the SAGE/GIN self term only on its target rows. Every computed
+ * row folds the same products in the same order as the full-batch
+ * forward (GEMM rows keep the ascending inner-index fold and the ±0
+ * skip, aggregation rows keep CSR edge order, MaxK selects per row), so
+ * it is bitwise the full-batch row. Rows outside the sets keep stale
+ * contents and are never read: the caller guarantees that every
+ * activation row a target row aggregates (its neighbours, and itself
+ * for GIN) was computed or written into the activation buffers
+ * between the two phases, and that the input rows Linear1 (compute
+ * rows) and the SAGE self path (target rows) read are valid. The row
+ * form applies no dropout and caches nothing for backward.
+ *
  * This class implements the fast functional path used for training
  * epochs; simulated kernel timing is produced separately by
  * profileEpoch() in trainer.hh (see DESIGN.md Sec. 4, decision 4).
@@ -26,6 +41,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/cbsr.hh"
 #include "graph/csr.hh"
@@ -33,6 +49,7 @@
 #include "nn/linear.hh"
 #include "nn/param.hh"
 #include "tensor/matrix.hh"
+#include "tensor/row_set.hh"
 
 namespace maxk::nn
 {
@@ -80,6 +97,16 @@ struct GnnLayerConfig
      * and what the sharded executor pins per partition.
      */
     std::string kernelVariant;
+};
+
+/**
+ * The rows one layer of a row-set forward computes, as ascending local
+ * row ids (see the file comment). Serving's planner fills one per layer.
+ */
+struct LayerRows
+{
+    std::vector<NodeId> compute; //!< Linear1 + nonlinearity rows
+    std::vector<NodeId> target;  //!< aggregation + self-term rows
 };
 
 /** One trainable GNN layer (fast functional path). */
@@ -131,6 +158,15 @@ class GnnLayer
      *  combination (SAGE self path / GIN eps term) into `out`. */
     void forwardCombine(const CsrGraph &a, Matrix &out);
 
+    /** Row-set phase 1 (inference, no dropout): Linear1 + nonlinearity
+     *  on the `compute` rows of the layer input x. */
+    void forwardCompute(const Matrix &x, RowSet compute);
+
+    /** Row-set phase 2: aggregation + self term on the `target` rows of
+     *  `out`; x is the input phase 1 saw. */
+    void forwardCombine(const CsrGraph &a, const Matrix &x, Matrix &out,
+                        RowSet target);
+
     /** Whether the current forward activation is CBSR (MaxK non-last
      *  layer) rather than dense. Valid after forwardCompute(). */
     bool activationIsCbsr() const { return usedCbsr_; }
@@ -155,6 +191,11 @@ class GnnLayer
      *  path, dropout backward — everything after the aggregation. */
     void backwardPost(const CsrGraph &a, const Matrix &d_out, Matrix &dx);
 
+    /** Backward phase 2 without the input gradient: only the parameter
+     *  gradients, bitwise those of the overload above. For the first
+     *  layer, whose dx nothing reads. */
+    void backwardPost(const CsrGraph &a, const Matrix &d_out);
+
     void collectParams(ParamRefs &out);
 
     /** Re-pin the aggregation variant after construction (the sharded
@@ -176,6 +217,16 @@ class GnnLayer
     const CbsrMatrix &lastCbsr() const { return cbsr_; }
 
   private:
+    /** Gradient w.r.t. the pre-activation: into dcbsr_ (CBSR) or
+     *  denseGradY(). */
+    void preActivationGrad(const Matrix &d_out);
+    const Matrix &denseGradY() const
+    {
+        // The last layer's nonlinearity is the identity: dh_ already is
+        // the pre-activation gradient.
+        return cfg_.lastLayer ? dh_ : dy_;
+    }
+
     GnnLayerConfig cfg_;
     Linear linear1_;
     Linear linear2_;  //!< SAGE self path only
@@ -201,14 +252,16 @@ class GnnLayer
 };
 
 /** out = A * x for dense x (reference aggregation, fast path). */
-void aggregateDense(const CsrGraph &a, const Matrix &x, Matrix &out);
+void aggregateDense(const CsrGraph &a, const Matrix &x, Matrix &out,
+                    RowSet rows = {});
 
 /** out = A^T * x for dense x (reverse aggregation, fast path). */
 void aggregateDenseTransposed(const CsrGraph &a, const Matrix &x,
                               Matrix &out);
 
 /** out = A * cbsr (row-wise product SpGEMM semantics, fast path). */
-void aggregateCbsr(const CsrGraph &a, const CbsrMatrix &xs, Matrix &out);
+void aggregateCbsr(const CsrGraph &a, const CbsrMatrix &xs, Matrix &out,
+                   RowSet rows = {});
 
 /**
  * dxs.data = sampled A^T * dxl at dxs's pattern (SSpMM semantics, fast
@@ -217,8 +270,10 @@ void aggregateCbsr(const CsrGraph &a, const CbsrMatrix &xs, Matrix &out);
 void aggregateCbsrBackward(const CsrGraph &a, const Matrix &dxl,
                            CbsrMatrix &dxs);
 
-/** MaxK + CBSR compression without device simulation (fast path). */
-void maxkCompressFast(const Matrix &x, std::uint32_t k, CbsrMatrix &out);
+/** MaxK + CBSR compression without device simulation (fast path):
+ *  each row's selection lands directly in its CBSR row. */
+void maxkCompressFast(const Matrix &x, std::uint32_t k, CbsrMatrix &out,
+                      RowSet rows = {});
 
 } // namespace maxk::nn
 

@@ -22,16 +22,16 @@ Linear::Linear(std::size_t in, std::size_t out, Rng &rng,
 }
 
 void
-Linear::forward(const Matrix &x, Matrix &y) const
+Linear::forward(const Matrix &x, Matrix &y, RowSet rows) const
 {
     checkInvariant(x.cols() == weight_.value.rows(),
                    "Linear::forward: input width mismatch");
-    gemm(x, weight_.value, y);
-    addRowVector(y, bias_.value);
+    gemm(x, weight_.value, y, rows);
+    addRowVector(y, bias_.value, rows);
 }
 
 void
-Linear::backward(const Matrix &x, const Matrix &dy, Matrix &dx)
+Linear::backward(const Matrix &x, const Matrix &dy)
 {
     checkInvariant(dy.cols() == weight_.value.cols(),
                    "Linear::backward: grad width mismatch");
@@ -42,12 +42,18 @@ Linear::backward(const Matrix &x, const Matrix &dy, Matrix &dx)
     // db += column sums of dy
     columnSums(dy, colScratch_);
     addInPlace(bias_.grad, colScratch_);
+}
+
+void
+Linear::backward(const Matrix &x, const Matrix &dy, Matrix &dx)
+{
+    backward(x, dy);
     // dx = dy W^T; dwScratch_ is spent, so it holds W^T (same size).
     gemmTransB(dy, weight_.value, dwScratch_, dx);
 }
 
 void
-Linear::backward(const Matrix &x, const CbsrMatrix &dy, Matrix &dx)
+Linear::backward(const Matrix &x, const CbsrMatrix &dy)
 {
     checkInvariant(dy.dimOrigin() == weight_.value.cols(),
                    "Linear::backward: CBSR grad width mismatch");
@@ -55,6 +61,12 @@ Linear::backward(const Matrix &x, const CbsrMatrix &dy, Matrix &dx)
     addInPlace(weight_.grad, dwScratch_);
     cbsrColumnSums(dy, colScratch_);
     addInPlace(bias_.grad, colScratch_);
+}
+
+void
+Linear::backward(const Matrix &x, const CbsrMatrix &dy, Matrix &dx)
+{
+    backward(x, dy);
     cbsrGemmTransB(dy, weight_.value, dwScratch_, dx);
 }
 

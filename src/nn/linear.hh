@@ -16,6 +16,7 @@
 #include "core/cbsr.hh"
 #include "nn/param.hh"
 #include "tensor/matrix.hh"
+#include "tensor/row_set.hh"
 
 namespace maxk::nn
 {
@@ -35,8 +36,9 @@ class Linear
     Linear(std::size_t in, std::size_t out, Rng &rng,
            const std::string &name);
 
-    /** y = x * W + b. */
-    void forward(const Matrix &x, Matrix &y) const;
+    /** y = x * W + b on the rows of `rows` (every row by default;
+     *  tensor/row_set.hh). */
+    void forward(const Matrix &x, Matrix &y, RowSet rows = {}) const;
 
     /**
      * Backward: accumulate dW += x^T * dy, db += colsum(dy) and produce
@@ -48,6 +50,10 @@ class Linear
      */
     void backward(const Matrix &x, const Matrix &dy, Matrix &dx);
 
+    /** Backward without dx: only dW and db, bitwise those of the
+     *  overload above. */
+    void backward(const Matrix &x, const Matrix &dy);
+
     /**
      * CBSR-aware backward: the upstream gradient stays in the CBSR form
      * the backward SSpMM produced (k values per row at the forward
@@ -56,6 +62,9 @@ class Linear
      * gradient (core/linear_backward_cbsr.hh).
      */
     void backward(const Matrix &x, const CbsrMatrix &dy, Matrix &dx);
+
+    /** CBSR-aware backward without dx: only dW and db. */
+    void backward(const Matrix &x, const CbsrMatrix &dy);
 
     /** Parameters (weight then bias). */
     void collectParams(ParamRefs &out);

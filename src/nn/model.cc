@@ -58,32 +58,48 @@ GnnModel::layerOutDim(std::uint32_t l) const
 const Matrix &
 GnnModel::forward(const CsrGraph &a, const Matrix &x, bool training)
 {
-    return forwardFrom(0, a, x, training);
-}
-
-const Matrix &
-GnnModel::forwardFrom(std::uint32_t first, const CsrGraph &a,
-                      const Matrix &x, bool training,
-                      const LayerHook &hook)
-{
-    checkInvariant(first < layers_.size(),
-                   "GnnModel::forwardFrom: layer index out of range");
     acts_.resize(layers_.size() + 1);
-    acts_[first] = x;
-    for (std::size_t l = first; l < layers_.size(); ++l) {
-        GnnLayer &layer = layers_[l];
+    acts_[0] = x;
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
         char tag[32];
         layerTag(tag, l);
         MAXK_TRACE_SCOPE("nn.layer.forward", tag);
-        if (!hook) {
-            layer.forward(a, acts_[l], acts_[l + 1], training, dropRng_);
-            continue;
-        }
-        // Phase-split path: same arithmetic in the same order as
-        // layer.forward(), with the hook at the activation seam.
-        layer.forwardCompute(acts_[l], training, dropRng_);
-        hook(static_cast<std::uint32_t>(l), layer);
-        layer.forwardCombine(a, acts_[l + 1]);
+        layers_[l].forward(a, acts_[l], acts_[l + 1], training, dropRng_);
+    }
+    return acts_.back();
+}
+
+const Matrix &
+GnnModel::forwardRows(const CsrGraph &a, const Matrix &x,
+                      const std::vector<LayerRows> &rows,
+                      const LayerHook &hook)
+{
+    checkInvariant(rows.size() == layers_.size(),
+                   "GnnModel::forwardRows: one row set per layer");
+    checkInvariant(x.rows() == a.numNodes(),
+                   "GnnModel::forwardRows: feature row count != |V|");
+    // Distinct ascending in-range rows: a repeated row would have two
+    // writers in the row-parallel kernels.
+    auto valid = [&](const std::vector<NodeId> &ids) {
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            if (ids[i] >= a.numNodes() || (i > 0 && ids[i] <= ids[i - 1]))
+                return false;
+        return true;
+    };
+    acts_.resize(layers_.size() + 1);
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+        checkInvariant(valid(rows[l].compute) && valid(rows[l].target),
+                       "GnnModel::forwardRows: row ids must be ascending, "
+                       "distinct and < |V|");
+        GnnLayer &layer = layers_[l];
+        const Matrix &in = l == 0 ? x : acts_[l];
+        char tag[32];
+        layerTag(tag, l);
+        MAXK_TRACE_SCOPE("nn.layer.forward", tag);
+        layer.forwardCompute(in, rows[l].compute);
+        if (hook)
+            hook(static_cast<std::uint32_t>(l), layer);
+        layer.forwardCombine(a, in, acts_[l + 1], rows[l].target);
     }
     return acts_.back();
 }
@@ -96,8 +112,14 @@ GnnModel::backward(const CsrGraph &a, const Matrix &grad_logits)
         char tag[32];
         layerTag(tag, l);
         MAXK_TRACE_SCOPE("nn.layer.backward", tag);
-        layers_[l].backward(a, gradCur_, gradPrev_);
-        std::swap(gradCur_, gradPrev_);
+        if (l > 0) {
+            layers_[l].backward(a, gradCur_, gradPrev_);
+            std::swap(gradCur_, gradPrev_);
+            continue;
+        }
+        // Nothing reads the input gradient of layer 0: weights only.
+        layers_[0].backwardAgg(a, gradCur_);
+        layers_[0].backwardPost(a, gradCur_);
     }
 }
 

@@ -65,23 +65,23 @@ class GnnModel
     using LayerHook = std::function<void(std::uint32_t layer, GnnLayer &)>;
 
     /**
-     * Forward starting at layer `first` (0 == forward()): `x` is taken
-     * as the input of layer `first` and layers below it are skipped
-     * entirely. This is the cached-embedding entry point: when every
-     * activation a serving batch needs below `first` comes out of the
-     * EmbeddingCache, the lower layers contribute no arithmetic at all.
-     * The optional `hook` runs per executed layer between the compute
-     * and combine phases (see LayerHook). Activations from layer `first`
-     * on are cached for backward(); earlier ones keep their prior
-     * contents. No dropout stream is consumed for skipped layers when
-     * `training` is false (the serving mode), so partial and full
-     * forwards stay bitwise-consistent.
+     * Row-set inference forward (no dropout): layer l computes its
+     * activation on rows[l].compute and its output on rows[l].target
+     * only (GnnLayer's row-set contract, gnn_layer.hh), with `hook` run
+     * between the two phases of every layer. `x` is layer 0's input,
+     * read in place. Each computed row is bitwise the row forward()
+     * would produce, as long as every row a computed row reads was
+     * computed (or written by the hook) first; every other row of every
+     * activation keeps stale contents. A layer with empty sets does no
+     * arithmetic. Returns the logits; only the rows of
+     * rows.back().target are written. Caches nothing for backward().
      */
-    const Matrix &forwardFrom(std::uint32_t first, const CsrGraph &a,
-                              const Matrix &x, bool training,
+    const Matrix &forwardRows(const CsrGraph &a, const Matrix &x,
+                              const std::vector<LayerRows> &rows,
                               const LayerHook &hook = {});
 
-    /** Backprop from d(loss)/d(logits); accumulates parameter grads. */
+    /** Backprop from d(loss)/d(logits); accumulates parameter grads.
+     *  Layer 0 computes no input gradient: nothing reads it. */
     void backward(const CsrGraph &a, const Matrix &grad_logits);
 
     ParamRefs params();

@@ -94,11 +94,10 @@ ServeSession::ServeSession(nn::GnnModel &trained, const CsrGraph &graph,
     rowStamp_.assign(n, 0);
     plan_.resize(numLayers_);
 
-    // Pre-size the forward inputs so a late first occurrence of a
-    // fully-cached batch (firstActive > 0) cannot allocate inside the
-    // steady-state window.
+    // Pre-size the forward input: only the planned rows of it are
+    // written per batch.
     xIn_.ensureShape(capacity_, features_.cols());
-    hiddenWs_.ensureShape(capacity_, trained.config().hiddenDim);
+    rows_.resize(numLayers_);
 
     presampleAndPin();
 }
@@ -267,22 +266,16 @@ ServeSession::buildPlan(const std::vector<NodeId> &seeds, bool allow_stale)
         }
     }
 
-    firstActive_ = 0;
-    while (firstActive_ + 1 < numLayers_ &&
-           plan_[firstActive_].target.empty())
-        ++firstActive_;
-
-    // Feature gather set X[0] (empty when layer 0 is fully skipped).
+    // Feature gather set X[0] (empty when layer 0 has no targets, i.e.
+    // every activation it would feed comes from the cache).
     featureRows_.clear();
-    if (firstActive_ == 0) {
-        const LayerPlan &lp0 = plan_[0];
-        if (sage)
-            std::set_union(lp0.computed.begin(), lp0.computed.end(),
-                           lp0.target.begin(), lp0.target.end(),
-                           std::back_inserter(featureRows_));
-        else
-            featureRows_ = lp0.computed;
-    }
+    const LayerPlan &lp0 = plan_[0];
+    if (sage)
+        std::set_union(lp0.computed.begin(), lp0.computed.end(),
+                       lp0.target.begin(), lp0.target.end(),
+                       std::back_inserter(featureRows_));
+    else
+        featureRows_ = lp0.computed;
 
     // Batch node set: union of every layer's activation sources.
     if (++curStamp_ == 0) {
@@ -301,6 +294,20 @@ ServeSession::buildPlan(const std::vector<NodeId> &seeds, bool allow_stale)
                    "ServeSession: plan exceeds node capacity");
     for (std::size_t r = 0; r < nodes_.size(); ++r)
         localOf_[nodes_[r]] = static_cast<NodeId>(r);
+
+    // The row-set forward's sets, as local rows: layer l computes its
+    // activation on the uncached sources and its output on the targets.
+    // localOf_ is monotone over nodes_, so ascending global lists map to
+    // ascending local ones.
+    for (std::uint32_t l = 0; l < numLayers_; ++l) {
+        nn::LayerRows &rows = rows_[l];
+        rows.compute.clear();
+        for (const NodeId v : plan_[l].computed)
+            rows.compute.push_back(localOf_[v]);
+        rows.target.clear();
+        for (const NodeId v : plan_[l].target)
+            rows.target.push_back(localOf_[v]);
+    }
 
     // Row set: vertices needing sampled out-edges in the local CSR.
     if (++curRowStamp_ == 0) {
@@ -393,20 +400,11 @@ ServeSession::executePlanned(BatchServeStats &bs)
 {
     buildLocalGraph();
 
-    const Matrix *input = &xIn_;
-    if (firstActive_ == 0) {
-        const std::size_t dim = features_.cols();
-        for (const NodeId v : featureRows_) {
-            const Float *src = features_.row(v);
-            Float *dst = xIn_.row(localOf_[v]);
-            std::copy(src, src + dim, dst);
-        }
-    } else {
-        // Every activation below firstActive comes from the cache; the
-        // input contents are never read through to the logits (computed
-        // rows are empty at that layer), so the persistent scratch
-        // buffer is fine — it only has to be finite and shape-correct.
-        input = &hiddenWs_;
+    const std::size_t dim = features_.cols();
+    for (const NodeId v : featureRows_) {
+        const Float *src = features_.row(v);
+        Float *dst = xIn_.row(localOf_[v]);
+        std::copy(src, src + dim, dst);
     }
 
     auto hook = [&](std::uint32_t l, nn::GnnLayer &layer) {
@@ -435,9 +433,7 @@ ServeSession::executePlanned(BatchServeStats &bs)
             }
         }
     };
-    logitsWs_ =
-        &model_.forwardFrom(firstActive_, localGraph_, *input, false,
-                            hook);
+    logitsWs_ = &model_.forwardRows(localGraph_, xIn_, rows_, hook);
     (void)bs;
 }
 
@@ -458,23 +454,27 @@ ServeSession::executeReference(BatchServeStats &bs)
 double
 ServeSession::batchSimSeconds(const BatchServeStats &bs) const
 {
-    // Structural roofline over PLANNED work. The physical forward is
-    // capacity-padded (shape-constant on purpose), so the cache win is
-    // visible only in planned rows/edges/bytes — the same stance as
-    // profileEpoch vs the functional training path. The serving forward
-    // is modeled as graph-captured: launch overhead is charged ONCE per
-    // executed layer (the explicit term below), so each roofline call's
-    // embedded per-call overhead is stripped — otherwise fixed launch
-    // cost dominates the per-batch time and masks the cache win.
+    // Structural roofline over PLANNED work: gathered feature rows,
+    // computed activation rows, aggregated edges and injected cache
+    // bytes — what the row-set forward executes on the host too. The
+    // serving forward is modeled as graph-captured: launch overhead is
+    // charged ONCE per executed layer (the explicit term below), so each
+    // roofline call's embedded per-call overhead is stripped — otherwise
+    // fixed launch cost dominates the per-batch time and masks the cache
+    // win. Layers below the first one with targets are served entirely
+    // from the cache and launch nothing.
+    std::uint32_t first = 0;
+    while (first + 1 < numLayers_ && plan_[first].target.empty())
+        ++first;
     const gpusim::DeviceConfig &dev = cfg_.device;
     const double launch = dev.launchOverheadUs * 1e-6;
-    double s = launch * static_cast<double>(numLayers_ - firstActive_ + 1);
+    double s = launch * static_cast<double>(numLayers_ - first + 1);
     s += elementwiseSimSeconds(bs.featureBytesGathered / sizeof(Float),
                                dev) -
          launch;
     const bool sage = model_.config().kind == nn::GnnKind::Sage;
     const bool maxk = model_.config().nonlin == nn::Nonlinearity::MaxK;
-    for (std::uint32_t l = firstActive_; l < numLayers_; ++l) {
+    for (std::uint32_t l = first; l < numLayers_; ++l) {
         const LayerPlan &lp = plan_[l];
         const std::uint64_t m = lp.computed.size();
         const std::uint64_t t = lp.target.size();

@@ -3,8 +3,8 @@
  * Online inference session: the "millions of users" half of the ROADMAP
  * north star (ISSUE 8). A ServeSession answers per-vertex prediction
  * requests over a trained GnnModel by replaying a request trace through
- * RequestBatcher -> frontier planner -> (EmbeddingCache | full
- * recompute) -> GnnModel::forwardFrom.
+ * RequestBatcher -> frontier planner -> (EmbeddingCache | recompute) ->
+ * GnnModel::forwardRows, which computes only the planned rows.
  *
  * Determinism contract (the correctness anchor, proven by
  * tests/test_serve.cc): the logits returned for a vertex are a pure
@@ -37,13 +37,24 @@
  * recomputing it would produce, so cache hits change stats and
  * simulated cost but never logits.
  *
- * Cost model: the container is 1-CPU and the physical forward is
- * capacity-padded (shape-constant by design), so host wall time cannot
- * show the cache win. Like the repo's other perf surfaces, serving
- * charges a deterministic structural cost model instead: planned work
- * only (gathered feature rows, computed activation rows, aggregated
- * edges, injected cache bytes) through the gemm/elementwise roofline on
- * the simulated A100. bench_serve gates those numbers in CI.
+ * Row-set execution. Rule 3 is also why the cached path may compute
+ * only what the plan needs: it hands the planner's per-layer sets, as
+ * local rows, to the row-set forward (nn::LayerRows, GnnModel::
+ * forwardRows). Layer l runs Linear1 and the nonlinearity on its
+ * uncached sources (`computed`) and the aggregation and self term on
+ * its targets, and every such row is bitwise the padded forward's. The
+ * planner guarantees that each row a computed row reads was computed or
+ * injected first; every other row of the capacity-shaped buffers keeps
+ * stale contents and is never read. Host time therefore follows planned
+ * work, and the cache pays off on the host clock too. The cache-off
+ * path (sampler + extractor + padded forward) stays the reference the
+ * anchor tests compare against.
+ *
+ * Cost model: serving also charges a deterministic structural cost
+ * model of the same planned work (gathered feature rows, computed
+ * activation rows, aggregated edges, injected cache bytes) through the
+ * gemm/elementwise roofline on the simulated A100. bench_serve gates
+ * those numbers in CI.
  */
 
 #ifndef MAXK_SERVE_SESSION_HH
@@ -345,7 +356,7 @@ class ServeSession
 
     // Planner state (persistent workspaces).
     std::vector<LayerPlan> plan_;
-    std::uint32_t firstActive_ = 0;
+    std::vector<nn::LayerRows> rows_;  //!< plan_ as local row sets
     std::vector<NodeId> nodes_;        //!< batch node set, ascending
     std::vector<NodeId> featureRows_;  //!< X[0]: rows needing real x
     std::vector<NodeId> localOf_;
@@ -365,7 +376,6 @@ class ServeSession
     std::vector<EdgeId> rowPtrStage_;
     std::vector<NodeId> colIdxStage_;
     Matrix xIn_;       //!< capacity x inDim gathered features
-    Matrix hiddenWs_;  //!< capacity x hiddenDim input for firstActive > 0
     const Matrix *logitsWs_ = nullptr; //!< last forward's logits
 };
 

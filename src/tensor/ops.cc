@@ -41,15 +41,15 @@ rowUpdate(Float *const *c, const Float *s, const Float *b, std::size_t n)
 }
 
 /**
- * C rows [i, i + rows) (rows <= kBlock) += s[r] * b. With SkipZero a
- * row whose scalar is ±0 takes no product at all: adding its ±0
+ * The C rows crow[0, rows) (rows <= kBlock) += s[r] * b. With SkipZero
+ * a row whose scalar is ±0 takes no product at all: adding its ±0
  * products could still fold 0 * inf = NaN or turn a -0 element into
  * +0. The remaining rows share one pass over b.
  */
 template <bool SkipZero>
 void
-blockUpdate(Matrix &c, std::size_t i, std::size_t rows, const Float *s,
-            const Float *b)
+blockUpdate(Float *const *crow, std::size_t rows, const Float *s,
+            const Float *b, std::size_t n)
 {
     Float *live_rows[kBlock];
     Float live_s[kBlock];
@@ -57,11 +57,10 @@ blockUpdate(Matrix &c, std::size_t i, std::size_t rows, const Float *s,
     for (std::size_t r = 0; r < rows; ++r) {
         if (SkipZero && s[r] == 0.0f)
             continue;
-        live_rows[live] = c.row(i + r);
+        live_rows[live] = crow[r];
         live_s[live] = s[r];
         ++live;
     }
-    const std::size_t n = c.cols();
     switch (live) {
       case 4: rowUpdate<4>(live_rows, live_s, b, n); break;
       case 3: rowUpdate<3>(live_rows, live_s, b, n); break;
@@ -72,25 +71,31 @@ blockUpdate(Matrix &c, std::size_t i, std::size_t rows, const Float *s,
 }
 
 /**
- * C += A * B over C rows in blocks of kBlock, row-parallel: each C row
- * folds a(i, p) * b.row(p) for p ascending.
+ * C += A * B over the C rows of `rows` in blocks of kBlock, row-parallel:
+ * each C row folds a(i, p) * b.row(p) for p ascending. Which rows share
+ * a block never changes a row's fold.
  */
 template <bool SkipZero>
 void
-rowBlockedGemm(const Matrix &a, const Matrix &b, Matrix &c)
+rowBlockedGemm(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
 {
     const std::size_t k = a.cols();
-    parallelFor(0, c.rows(), kRowGrain,
+    parallelFor(0, rows.size(c.rows()), kRowGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
+                    Float *crow[kBlock];
+                    const Float *arow[kBlock];
                     Float s[kBlock];
                     for (std::size_t i = begin; i < end; i += kBlock) {
-                        const std::size_t rows =
-                            std::min(kBlock, end - i);
+                        const std::size_t m = std::min(kBlock, end - i);
+                        for (std::size_t r = 0; r < m; ++r) {
+                            crow[r] = c.row(rows[i + r]);
+                            arow[r] = a.row(rows[i + r]);
+                        }
                         for (std::size_t p = 0; p < k; ++p) {
-                            for (std::size_t r = 0; r < rows; ++r)
-                                s[r] = a.at(i + r, p);
-                            blockUpdate<SkipZero>(c, i, rows, s,
-                                                  b.row(p));
+                            for (std::size_t r = 0; r < m; ++r)
+                                s[r] = arow[r][p];
+                            blockUpdate<SkipZero>(crow, m, s, b.row(p),
+                                                  c.cols());
                         }
                     }
                 });
@@ -99,19 +104,21 @@ rowBlockedGemm(const Matrix &a, const Matrix &b, Matrix &c)
 } // namespace
 
 void
-gemm(const Matrix &a, const Matrix &b, Matrix &c)
+gemm(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
 {
-    c.resize(a.rows(), b.cols());
-    gemmAccum(a, b, c);
+    c.ensureShape(a.rows(), b.cols());
+    for (std::size_t i = 0; i < rows.size(c.rows()); ++i)
+        std::fill_n(c.row(rows[i]), c.cols(), 0.0f);
+    gemmAccum(a, b, c, rows);
 }
 
 void
-gemmAccum(const Matrix &a, const Matrix &b, Matrix &c)
+gemmAccum(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
 {
     checkInvariant(a.cols() == b.rows(), "gemm: inner dimension mismatch");
     checkInvariant(c.rows() == a.rows() && c.cols() == b.cols(),
                    "gemm: output shape mismatch");
-    rowBlockedGemm<true>(a, b, c);
+    rowBlockedGemm<true>(a, b, c, rows);
 }
 
 void
@@ -124,13 +131,17 @@ gemmTransA(const Matrix &a, const Matrix &b, Matrix &c)
     // ascending order, so each element folds its products in p order.
     parallelFor(0, c.rows(), kColGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
+                    Float *crow[kBlock];
                     for (std::size_t p = 0; p < k; ++p) {
                         const Float *arow = a.row(p);
                         const Float *brow = b.row(p);
-                        for (std::size_t i = begin; i < end; i += kBlock)
-                            blockUpdate<true>(c, i,
-                                              std::min(kBlock, end - i),
-                                              arow + i, brow);
+                        for (std::size_t i = begin; i < end; i += kBlock) {
+                            const std::size_t m = std::min(kBlock, end - i);
+                            for (std::size_t r = 0; r < m; ++r)
+                                crow[r] = c.row(i + r);
+                            blockUpdate<true>(crow, m, arow + i, brow,
+                                              c.cols());
+                        }
                     }
                 });
 }
@@ -142,7 +153,7 @@ gemmTransB(const Matrix &a, const Matrix &b, Matrix &bt, Matrix &c)
     transpose(b, bt);
     c.resize(a.rows(), b.rows());
     // No zero skip: C(i, j) is a plain dot product, so 0 * inf = NaN.
-    rowBlockedGemm<false>(a, bt, c);
+    rowBlockedGemm<false>(a, bt, c, RowSet{});
 }
 
 void
@@ -155,24 +166,31 @@ transpose(const Matrix &in, Matrix &out)
 }
 
 void
-addInPlace(Matrix &dst, const Matrix &src)
+addInPlace(Matrix &dst, const Matrix &src, RowSet rows)
 {
     checkInvariant(dst.rows() == src.rows() && dst.cols() == src.cols(),
                    "addInPlace: shape mismatch");
-    Float *d = dst.data();
-    const Float *s = src.data();
-    for (std::size_t i = 0; i < dst.size(); ++i)
-        d[i] += s[i];
+    const std::size_t n = dst.cols();
+    for (std::size_t i = 0; i < rows.size(dst.rows()); ++i) {
+        Float *d = dst.row(rows[i]);
+        const Float *s = src.row(rows[i]);
+        for (std::size_t j = 0; j < n; ++j)
+            d[j] += s[j];
+    }
 }
 
 void
-axpy(Matrix &dst, Float alpha, const Matrix &src)
+axpy(Matrix &dst, Float alpha, const Matrix &src, RowSet rows)
 {
-    checkInvariant(dst.size() == src.size(), "axpy: size mismatch");
-    Float *d = dst.data();
-    const Float *s = src.data();
-    for (std::size_t i = 0; i < dst.size(); ++i)
-        d[i] += alpha * s[i];
+    checkInvariant(dst.rows() == src.rows() && dst.cols() == src.cols(),
+                   "axpy: shape mismatch");
+    const std::size_t n = dst.cols();
+    for (std::size_t i = 0; i < rows.size(dst.rows()); ++i) {
+        Float *d = dst.row(rows[i]);
+        const Float *s = src.row(rows[i]);
+        for (std::size_t j = 0; j < n; ++j)
+            d[j] += alpha * s[j];
+    }
 }
 
 void
@@ -197,13 +215,13 @@ subtract(const Matrix &a, const Matrix &b, Matrix &out)
 }
 
 void
-addRowVector(Matrix &dst, const Matrix &bias)
+addRowVector(Matrix &dst, const Matrix &bias, RowSet rows)
 {
     checkInvariant(bias.size() == dst.cols(),
                    "addRowVector: bias length mismatch");
     const Float *b = bias.data();
-    for (std::size_t i = 0; i < dst.rows(); ++i) {
-        Float *row = dst.row(i);
+    for (std::size_t i = 0; i < rows.size(dst.rows()); ++i) {
+        Float *row = dst.row(rows[i]);
         for (std::size_t j = 0; j < dst.cols(); ++j)
             row[j] += b[j];
     }
@@ -235,13 +253,24 @@ hadamard(const Matrix &a, const Matrix &b, Matrix &out)
 }
 
 void
-reluForward(const Matrix &in, Matrix &out)
+reluForward(const Matrix &in, Matrix &out, RowSet rows)
 {
     out.ensureShape(in.rows(), in.cols());
-    const Float *pi = in.data();
-    Float *po = out.data();
-    for (std::size_t i = 0; i < in.size(); ++i)
-        po[i] = pi[i] > 0.0f ? pi[i] : 0.0f;
+    const std::size_t n = in.cols();
+    for (std::size_t i = 0; i < rows.size(in.rows()); ++i) {
+        const Float *pi = in.row(rows[i]);
+        Float *po = out.row(rows[i]);
+        for (std::size_t j = 0; j < n; ++j)
+            po[j] = pi[j] > 0.0f ? pi[j] : 0.0f;
+    }
+}
+
+void
+copyRows(const Matrix &in, Matrix &out, RowSet rows)
+{
+    out.ensureShape(in.rows(), in.cols());
+    for (std::size_t i = 0; i < rows.size(in.rows()); ++i)
+        std::copy_n(in.row(rows[i]), in.cols(), out.row(rows[i]));
 }
 
 void

@@ -13,29 +13,36 @@
  * from the value C held on entry. No product is fused, reassociated or
  * split across workers, so results are bitwise identical at any
  * MAXK_THREADS. Output and workspace arguments must not alias an input.
+ *
+ * The row-wise kernels take an optional RowSet (tensor/row_set.hh): by
+ * default every row, otherwise only the listed rows of the output are
+ * written and only the same rows of the row-aligned inputs are read.
  */
 
 #ifndef MAXK_TENSOR_OPS_HH
 #define MAXK_TENSOR_OPS_HH
 
 #include "tensor/matrix.hh"
+#include "tensor/row_set.hh"
 
 namespace maxk
 {
 
 /**
- * C = A * B. A: m x k, B: k x n, C resized to m x n (zero-filled), then
- * gemmAccum.
+ * C = A * B. A: m x k, B: k x n, C shaped m x n; the rows of `rows` are
+ * zero-filled, then gemmAccum.
  */
-void gemm(const Matrix &a, const Matrix &b, Matrix &c);
+void gemm(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows = {});
 
 /**
- * C += A * B (C must already be m x n). C(i, j) folds a(i, p) * b(p, j)
- * for p ascending onto its entry value. A term whose a(i, p) is ±0 is
- * skipped, so it can neither turn -0 into +0 nor fold 0 * inf = NaN; a
- * non-finite B value meets only the nonzero A entries.
+ * C += A * B (C must already be m x n) on the rows of `rows`. C(i, j)
+ * folds a(i, p) * b(p, j) for p ascending onto its entry value. A term
+ * whose a(i, p) is ±0 is skipped, so it can neither turn -0 into +0 nor
+ * fold 0 * inf = NaN; a non-finite B value meets only the nonzero A
+ * entries.
  */
-void gemmAccum(const Matrix &a, const Matrix &b, Matrix &c);
+void gemmAccum(const Matrix &a, const Matrix &b, Matrix &c,
+               RowSet rows = {});
 
 /**
  * C = A^T * B. A: k x m, B: k x n, C resized to m x n. C(i, j) folds
@@ -59,10 +66,10 @@ void gemmTransB(const Matrix &a, const Matrix &b, Matrix &bt, Matrix &c);
 void transpose(const Matrix &in, Matrix &out);
 
 /** dst += src (same shape). */
-void addInPlace(Matrix &dst, const Matrix &src);
+void addInPlace(Matrix &dst, const Matrix &src, RowSet rows = {});
 
 /** dst += alpha * src (same shape). */
-void axpy(Matrix &dst, Float alpha, const Matrix &src);
+void axpy(Matrix &dst, Float alpha, const Matrix &src, RowSet rows = {});
 
 /** dst *= alpha. */
 void scaleInPlace(Matrix &dst, Float alpha);
@@ -71,7 +78,7 @@ void scaleInPlace(Matrix &dst, Float alpha);
 void subtract(const Matrix &a, const Matrix &b, Matrix &out);
 
 /** Add a row vector (1 x n or length-n matrix) to every row of dst. */
-void addRowVector(Matrix &dst, const Matrix &bias);
+void addRowVector(Matrix &dst, const Matrix &bias, RowSet rows = {});
 
 /** Column-wise sum of in -> out (1 x n). Used for bias gradients. */
 void columnSums(const Matrix &in, Matrix &out);
@@ -80,7 +87,10 @@ void columnSums(const Matrix &in, Matrix &out);
 void hadamard(const Matrix &a, const Matrix &b, Matrix &out);
 
 /** Element-wise ReLU forward: out = max(in, 0). */
-void reluForward(const Matrix &in, Matrix &out);
+void reluForward(const Matrix &in, Matrix &out, RowSet rows = {});
+
+/** out = in (out shaped like in). */
+void copyRows(const Matrix &in, Matrix &out, RowSet rows = {});
 
 /**
  * Element-wise ReLU backward: gradIn = gradOut where forward input was

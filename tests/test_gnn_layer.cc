@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.hh"
 #include "core/maxk.hh"
 #include "graph/generators.hh"
 #include "kernels/spmm_ref.hh"
 #include "nn/gnn_layer.hh"
+#include "nn/model.hh"
 #include "support/comparators.hh"
 #include "support/fixtures.hh"
 #include "tensor/init.hh"
@@ -260,6 +263,63 @@ TEST(GnnLayerGradient, GinRelu) { gradientCheck(GnnKind::Gin,
                                                 Nonlinearity::Relu); }
 TEST(GnnLayerGradient, GinMaxk) { gradientCheck(GnnKind::Gin,
                                                 Nonlinearity::MaxK); }
+
+/**
+ * GnnModel::backward computes no input gradient at layer 0. Its
+ * parameter gradients must still be bitwise those of a per-layer
+ * backward that does (dropout on, so the mask path is covered too).
+ */
+void
+layerZeroSkipsOnlyTheInputGradient(GnnKind kind, Nonlinearity nonlin)
+{
+    Fixture f(kind, 40, 8);
+    ModelConfig cfg;
+    cfg.kind = kind;
+    cfg.nonlin = nonlin;
+    cfg.maxkK = 4;
+    cfg.numLayers = 3;
+    cfg.inDim = 8;
+    cfg.hiddenDim = 12;
+    cfg.outDim = 5;
+    cfg.dropout = 0.5f;
+    cfg.ginEps = 0.2f;
+    GnnModel skip(cfg), full(cfg);
+    Matrix grad(f.g.numNodes(), cfg.outDim);
+    Rng rng(31);
+    fillNormal(grad, rng, 0.0f, 1.0f);
+
+    skip.forward(f.g, f.x, true);
+    skip.backward(f.g, grad);
+
+    full.forward(f.g, f.x, true);
+    Matrix cur = grad, prev;
+    for (std::size_t l = full.layers().size(); l-- > 0;) {
+        full.layers()[l].backward(f.g, cur, prev);
+        std::swap(cur, prev);
+    }
+
+    const ParamRefs a = skip.params();
+    const ParamRefs b = full.params();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i]->grad.size(), b[i]->grad.size()) << a[i]->name;
+        EXPECT_EQ(std::memcmp(a[i]->grad.data(), b[i]->grad.data(),
+                              a[i]->grad.size() * sizeof(Float)),
+                  0)
+            << a[i]->name;
+    }
+}
+
+TEST(GnnModelBackward, LayerZeroGradsMatchFullBackward)
+{
+    for (GnnKind kind : {GnnKind::Sage, GnnKind::Gcn, GnnKind::Gin})
+        for (Nonlinearity nonlin :
+             {Nonlinearity::Relu, Nonlinearity::MaxK}) {
+            SCOPED_TRACE(std::string(gnnKindName(kind)) + "-" +
+                         nonlinearityName(nonlin));
+            layerZeroSkipsOnlyTheInputGradient(kind, nonlin);
+        }
+}
 
 TEST(GnnLayer, AggregatorNamesAndKinds)
 {

@@ -129,7 +129,7 @@ TEST_P(KernelEquivalence, RegistryVariantsBitwiseMatchReferenceAcrossThreads)
                 ? y_ref
                 : (v.transposed ? y_tfast_ref : y_fast_ref);
         Matrix y;
-        v.fast(g_, x_, y);
+        v.fast(g_, x_, y, RowSet{});
         EXPECT_TRUE(y.equals(want_fast)) << v.name << " (fast)";
     }
 }

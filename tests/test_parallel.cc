@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "core/spgemm_forward.hh"
 #include "core/sspmm_backward.hh"
 #include "graph/edge_groups.hh"
+#include "kernels/spmm_fast.hh"
 #include "kernels/spmm_gnna.hh"
 #include "kernels/spmm_outer_naive.hh"
 #include "kernels/spmm_ref.hh"
@@ -658,6 +661,244 @@ TEST(GemmNonFinite, InfOppositeZeroFollowsEachKernelsSkipRule)
         EXPECT_TRUE(std::isnan(c.at(4, 3))) << t;
         EXPECT_TRUE(test::matricesBitwise(c, want_cbsr)) << t;
     }
+}
+
+/* ------------------------------------------ row-set layer forward ---- */
+
+/** (kind, nonlinearity, last layer). */
+using RowSetParam = std::tuple<nn::GnnKind, nn::Nonlinearity, bool>;
+
+std::string
+rowSetName(const ::testing::TestParamInfo<RowSetParam> &info)
+{
+    const auto [kind, nonlin, last] = info.param;
+    return std::string(nn::gnnKindName(kind)) + "_" +
+           nn::nonlinearityName(nonlin) + (last ? "_last" : "_hidden");
+}
+
+/** Rows `rows` of a and b hold the same bits. */
+::testing::AssertionResult
+rowsBitwise(const Matrix &a, const Matrix &b,
+            const std::vector<NodeId> &rows)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols())
+        return ::testing::AssertionFailure() << "shape mismatch";
+    for (const NodeId r : rows)
+        if (std::memcmp(a.row(r), b.row(r), a.cols() * sizeof(Float)) != 0)
+            return ::testing::AssertionFailure() << "row " << r;
+    return ::testing::AssertionSuccess();
+}
+
+/** CBSR rows `rows` of a and b hold the same indices and value bits. */
+::testing::AssertionResult
+cbsrRowsBitwise(const CbsrMatrix &a, const CbsrMatrix &b,
+                const std::vector<NodeId> &rows)
+{
+    for (const NodeId r : rows)
+        for (std::uint32_t kk = 0; kk < a.dimK(); ++kk)
+            if (a.indexAt(r, kk) != b.indexAt(r, kk) ||
+                std::memcmp(&a.dataRow(r)[kk], &b.dataRow(r)[kk],
+                            sizeof(Float)) != 0)
+                return ::testing::AssertionFailure()
+                       << "row " << r << " slot " << kk;
+    return ::testing::AssertionSuccess();
+}
+
+/** Every element outside the rows `rows` is still NaN. */
+::testing::AssertionResult
+othersStillNan(const Matrix &m, const std::vector<NodeId> &rows)
+{
+    std::size_t next = 0;
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+        if (next < rows.size() && rows[next] == r) {
+            ++next;
+            continue;
+        }
+        for (std::size_t c = 0; c < m.cols(); ++c)
+            if (!std::isnan(m.at(r, c)))
+                return ::testing::AssertionFailure()
+                       << "row " << r << " was written";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * The row-set form of a layer's forward against its padded forward.
+ * The targets are a few scattered rows; the compute rows are the
+ * targets and their neighbours, exactly the activation rows the
+ * targets' aggregation reads. Every input row outside the compute set
+ * and every row of every workspace is NaN before the row-set call, so a
+ * single read outside the sets would reach the compared rows.
+ */
+class RowSetForward : public ::testing::TestWithParam<RowSetParam>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const auto [kind, nonlin, last] = GetParam();
+        Rng rng(4242);
+        g_ = test::makeGraph(test::GraphShape::ErdosRenyi, 256, 1800, rng,
+                             nn::aggregatorFor(kind));
+        x_.resize(g_.numNodes(), 24);
+        fillNormal(x_, rng, 0.0f, 1.0f);
+        nn::GnnLayerConfig cfg;
+        cfg.kind = kind;
+        cfg.nonlin = nonlin;
+        cfg.maxkK = 5;
+        cfg.lastLayer = last;
+        cfg.ginEps = 0.25f;
+        layer_.emplace(cfg, 24, 16, rng, "rows");
+
+        target_ = {3, 17, 42, 64, 99, 127, 200, 255};
+        std::vector<char> read(g_.numNodes(), 0);
+        for (const NodeId t : target_) {
+            read[t] = 1;
+            for (EdgeId e = g_.rowPtr()[t]; e < g_.rowPtr()[t + 1]; ++e)
+                read[g_.colIdx()[e]] = 1;
+        }
+        for (NodeId r = 0; r < g_.numNodes(); ++r)
+            if (read[r])
+                compute_.push_back(r);
+        ASSERT_LT(compute_.size(), g_.numNodes() / 2);
+
+        xRows_ = x_;
+        std::size_t next = 0;
+        for (NodeId r = 0; r < g_.numNodes(); ++r) {
+            if (next < compute_.size() && compute_[next] == r) {
+                ++next;
+                continue;
+            }
+            std::fill_n(xRows_.row(r), xRows_.cols(), kNan);
+        }
+    }
+
+    /** NaN in every row of every layer workspace and of `out`. An
+     *  all-rows forward of an all-NaN input fills the Linear outputs;
+     *  the activation is filled directly, since ReLU maps NaN to 0. */
+    void
+    poisonWorkspaces(Matrix &out)
+    {
+        const Matrix nan(x_.rows(), x_.cols(), kNan);
+        layer_->forwardCompute(nan, RowSet{});
+        layer_->forwardCombine(g_, nan, out, RowSet{});
+        out.fill(kNan);
+        layer_->activationDense().fill(kNan);
+        CbsrMatrix &cbsr = layer_->activationCbsr();
+        for (NodeId r = 0; r < cbsr.rows(); ++r)
+            std::fill_n(cbsr.dataRow(r), cbsr.dimK(), kNan);
+    }
+
+    static constexpr Float kNan = std::numeric_limits<Float>::quiet_NaN();
+    CsrGraph g_;
+    Matrix x_;
+    Matrix xRows_; //!< x_ with every row outside compute_ NaN
+    std::optional<nn::GnnLayer> layer_;
+    std::vector<NodeId> target_;
+    std::vector<NodeId> compute_;
+};
+
+TEST_P(RowSetForward, MatchesPaddedForwardOnItsRowsAndReadsNoOther)
+{
+    ThreadGuard guard;
+    setDefaultThreads(1);
+    Rng drop(1);
+    Matrix want;
+    layer_->forward(g_, x_, want, false, drop);
+    const CbsrMatrix want_cbsr = layer_->activationCbsr();
+    const Matrix want_h = layer_->activationDense();
+
+    for (std::uint32_t t : kThreadSweep) {
+        setDefaultThreads(t);
+        Matrix out;
+        poisonWorkspaces(out);
+        layer_->forwardCompute(xRows_, compute_);
+        if (layer_->activationIsCbsr())
+            EXPECT_TRUE(cbsrRowsBitwise(layer_->activationCbsr(), want_cbsr,
+                                        compute_))
+                << t;
+        else
+            EXPECT_TRUE(
+                rowsBitwise(layer_->activationDense(), want_h, compute_))
+                << t;
+        layer_->forwardCombine(g_, xRows_, out, target_);
+        EXPECT_TRUE(rowsBitwise(out, want, target_)) << t;
+        EXPECT_TRUE(othersStillNan(out, target_)) << t;
+    }
+}
+
+TEST_P(RowSetForward, EmptySetsWriteNothing)
+{
+    Matrix out;
+    poisonWorkspaces(out);
+    const std::vector<NodeId> none;
+    layer_->forwardCompute(xRows_, none);
+    layer_->forwardCombine(g_, xRows_, out, none);
+    EXPECT_TRUE(othersStillNan(out, none));
+}
+
+TEST_P(RowSetForward, AllRowsSetIsThePaddedForward)
+{
+    ThreadGuard guard;
+    setDefaultThreads(1);
+    Rng drop(1);
+    Matrix want;
+    layer_->forward(g_, x_, want, false, drop);
+    std::vector<NodeId> every(g_.numNodes());
+    for (NodeId r = 0; r < g_.numNodes(); ++r)
+        every[r] = r;
+    for (std::uint32_t t : kThreadSweep) {
+        setDefaultThreads(t);
+        Matrix out;
+        poisonWorkspaces(out);
+        layer_->forwardCompute(x_, RowSet{});
+        layer_->forwardCombine(g_, x_, out, RowSet{});
+        EXPECT_TRUE(test::matricesBitwise(out, want)) << t;
+        poisonWorkspaces(out);
+        layer_->forwardCompute(x_, every);
+        layer_->forwardCombine(g_, x_, out, every);
+        EXPECT_TRUE(test::matricesBitwise(out, want)) << t;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsNonlinLast, RowSetForward,
+    ::testing::Combine(::testing::Values(nn::GnnKind::Sage,
+                                         nn::GnnKind::Gcn,
+                                         nn::GnnKind::Gin),
+                       ::testing::Values(nn::Nonlinearity::Relu,
+                                         nn::Nonlinearity::MaxK),
+                       ::testing::Bool()),
+    rowSetName);
+
+/** A layer pinned to the double-accumulating reference SpMM keeps that
+ *  loop on a row set: its rows equal its own padded forward, which on
+ *  this input differs from the fp32 loop's. */
+TEST(RowSetForwardVariant, ReferenceLoopServesRowSetsToo)
+{
+    Rng rng(4343);
+    const CsrGraph g = test::makeGraph(test::GraphShape::ErdosRenyi, 64,
+                                       700, rng);
+    Matrix x(g.numNodes(), 12);
+    fillNormal(x, rng, 0.0f, 1.0f);
+    nn::GnnLayerConfig cfg;
+    cfg.kind = nn::GnnKind::Gcn;
+    cfg.kernelVariant = "spmm_ref";
+    nn::GnnLayer layer(cfg, 12, 10, rng, "ref");
+    Matrix want;
+    Rng drop(1);
+    layer.forward(g, x, want, false, drop);
+    Matrix fp32;
+    spmmRowWiseFast(g, layer.activationDense(), fp32);
+    ASSERT_FALSE(test::matricesBitwise(fp32, want));
+
+    std::vector<NodeId> every(g.numNodes());
+    for (NodeId r = 0; r < g.numNodes(); ++r)
+        every[r] = r;
+    Matrix out;
+    layer.forwardCompute(x, every);
+    layer.forwardCombine(g, x, out, every);
+    EXPECT_TRUE(test::matricesBitwise(out, want));
 }
 
 } // namespace

@@ -450,6 +450,10 @@ TEST(ServeSession, CachedBitwiseEqualsUncachedAcrossEverything)
         {nn::GnnKind::Gin, nn::Nonlinearity::MaxK, 2, "gin-maxk-2"},
         {nn::GnnKind::Sage, nn::Nonlinearity::Relu, 2, "sage-relu-2"},
         {nn::GnnKind::Sage, nn::Nonlinearity::MaxK, 3, "sage-maxk-3"},
+        // Dense row-set aggregation under GCN weights, and the GIN eps
+        // term on dense rows over three layers.
+        {nn::GnnKind::Gcn, nn::Nonlinearity::Relu, 2, "gcn-relu-2"},
+        {nn::GnnKind::Gin, nn::Nonlinearity::Relu, 3, "gin-relu-3"},
     };
 
     for (const Arch &arch : archs) {
