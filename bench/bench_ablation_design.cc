@@ -1,6 +1,8 @@
 /**
  * @file
- * Ablation bench for the design choices DESIGN.md calls out:
+ * Ablation bench for the design choices the paper's speedup rests on
+ * (its Sec. 4 kernels and the GNNAdvisor comparison), each switched
+ * off in turn:
  *
  *  A1. Shared-memory accumulation buffer in the forward SpGEMM
  *      (Algorithm 1) vs direct scattered global atomics.

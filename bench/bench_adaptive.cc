@@ -1,9 +1,9 @@
 /**
  * @file
  * Adaptive kernel-selector sweep: for every corpus entry, compare the
- * selector's pick (kernelVariant="auto") against the static row-wise
- * default and against the per-entry oracle (best selectable variant by
- * simulated seconds, DRAM bytes breaking ties).
+ * selector's pick (resolveSpmmVariant("auto", ...)) against the static
+ * row-wise default and against the per-entry oracle (best selectable
+ * variant by simulated seconds, DRAM bytes breaking ties).
  *
  * The corpus mixes the deterministic generator families the selector
  * thresholds were derived from (regular lattice, sparse/dense uniform,

@@ -58,7 +58,7 @@ struct TwinBundle
  * Materialise the kernel twin of a dataset with the given aggregator,
  * EG cap, and a device whose caches are scaled so that the twin's
  * feature-matrix working set occupies the same fraction of L2 as the
- * real dataset's does on the A100 (DESIGN.md Sec. 1).
+ * real dataset's does on the A100 (README "Synthetic twins").
  */
 inline TwinBundle
 makeTwin(const DatasetInfo &info, std::uint32_t dim_origin,

@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hh"
 #include "common/table.hh"
@@ -38,11 +39,18 @@ main(int argc, char **argv)
     maxk.nonlin = nn::Nonlinearity::MaxK;
     maxk.maxkK = 32;
 
+    // --smoke keeps one multi-part exchange (2 GPUs) and one sample
+    // rate below 1.0; nothing gates this bench's numbers.
+    std::vector<std::uint32_t> gpu_counts = {1, 2, 4, 8};
+    bench::smokeShrink(gpu_counts, 2);
+    std::vector<double> rates = {1.0, 0.5, 0.1};
+    bench::smokeShrink(rates, 2);
+
     Rng rng(31);
     TextTable table({"GPUs", "method", "compute ms", "exchange ms",
                      "boundary nodes", "exchanged MB", "epoch ms",
                      "speedup"});
-    for (const std::uint32_t gpus : {1u, 2u, 4u, 8u}) {
+    for (const std::uint32_t gpus : gpu_counts) {
         const Partition part = bfsPartition(twin.graph, gpus, rng);
         nn::ClusterConfig cluster;
         cluster.numGpus = gpus;
@@ -72,7 +80,7 @@ main(int argc, char **argv)
     const Partition part = bfsPartition(twin.graph, 4, rng);
     TextTable bns({"boundary sample rate", "exchanged MB (ReLU)",
                    "exchanged MB (MaxK)", "epoch ms (MaxK)"});
-    for (const double rate : {1.0, 0.5, 0.1}) {
+    for (const double rate : rates) {
         nn::ClusterConfig cluster;
         cluster.numGpus = 4;
         cluster.boundarySampleRate = rate;

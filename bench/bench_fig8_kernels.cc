@@ -182,7 +182,7 @@ main(int argc, char **argv)
     }
 
     // What the adaptive selector would run for the dense SpMM baseline
-    // of each dataset (kernelVariant="auto" at the same launch shape).
+    // of each dataset ("auto" resolved at the same launch shape).
     TextTable picks({"Graph", "avg deg", "adaptive SpMM pick", "why"});
     for (const auto &r : results)
         picks.addRow({r.name, formatFloat(r.avgDeg, 0), r.selectorPick,

@@ -6,8 +6,8 @@
  * the per-dataset Amdahl's-law speedup limits (Table 3 architectures).
  *
  * Epoch times come from the simulated kernel profiles on the
- * degree-faithful kernel twins (DESIGN.md: timing is decoupled from the
- * accuracy runs, which bench_table5 performs).
+ * degree-faithful kernel twins (README "Synthetic twins": timing is
+ * decoupled from the accuracy runs, which bench_table5 performs).
  */
 
 #include <cstdio>
@@ -15,6 +15,7 @@
 #include "bench_common.hh"
 #include "common/stopwatch.hh"
 #include "common/table.hh"
+#include "kernels/registry.hh"
 #include "nn/trainer.hh"
 
 using namespace maxk;
@@ -89,11 +90,10 @@ main(int argc, char **argv)
             base.outDim = task.numClasses;
 
             const nn::EpochTiming t_cusp = nn::profileEpoch(
-                base, twin.graph, twin.part, twin.opt,
-                nn::BaselineKernel::CuSparse);
+                base, twin.graph, twin.part, twin.opt);
             const nn::EpochTiming t_gnna = nn::profileEpoch(
                 base, twin.graph, twin.part, twin.opt,
-                nn::BaselineKernel::Gnna);
+                kernels::kernelVariantOrDie("spmm_gnna"));
             const double amdahl_cusp =
                 1.0 / (1.0 - t_cusp.aggFraction());
             const double amdahl_gnna =

@@ -2,7 +2,7 @@
  * @file
  * Table 1 reproduction: the 24 benchmark graphs with the paper's
  * published |V| / |E| alongside the synthetic twin actually
- * materialised in this environment (DESIGN.md substitution).
+ * materialised in its place (README "Synthetic twins").
  */
 
 #include <cstdio>

@@ -15,6 +15,7 @@
 #include "bench_common.hh"
 #include "common/stopwatch.hh"
 #include "common/table.hh"
+#include "kernels/registry.hh"
 #include "nn/trainer.hh"
 
 using namespace maxk;
@@ -104,12 +105,11 @@ main(int argc, char **argv)
             prof.hiddenDim = 256;
             prof.outDim = task.numClasses;
             const double t_cusp =
-                nn::profileEpoch(prof, twin.graph, twin.part, twin.opt,
-                                 nn::BaselineKernel::CuSparse)
+                nn::profileEpoch(prof, twin.graph, twin.part, twin.opt)
                     .total();
             const double t_gnna =
                 nn::profileEpoch(prof, twin.graph, twin.part, twin.opt,
-                                 nn::BaselineKernel::Gnna)
+                                 kernels::kernelVariantOrDie("spmm_gnna"))
                     .total();
 
             Rng rng(777);

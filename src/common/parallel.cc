@@ -8,8 +8,6 @@
 #include <pthread.h>
 #include <thread>
 
-#include "common/logging.hh"
-
 namespace maxk
 {
 
@@ -226,34 +224,26 @@ resolveThreads(std::uint32_t requested)
     return defaultThreads();
 }
 
+std::size_t
+chunkCount(std::size_t begin, std::size_t end, std::size_t grain,
+           std::uint32_t threads)
+{
+    if (begin >= end)
+        return 0;
+    const std::size_t n = (end - begin) / (grain == 0 ? 1 : grain);
+    const std::size_t cap = threads == 0 ? 1 : threads;
+    return n > cap ? cap : (n == 0 ? 1 : n);
+}
+
 std::vector<IndexRange>
 splitRange(std::size_t begin, std::size_t end, std::size_t grain,
            std::uint32_t threads)
 {
+    const std::size_t n = chunkCount(begin, end, grain, threads);
     std::vector<IndexRange> chunks;
-    if (begin >= end)
-        return chunks;
-    const std::size_t range = end - begin;
-    if (grain == 0)
-        grain = 1;
-    if (threads == 0)
-        threads = 1;
-    std::size_t n = range / grain;
-    if (n > threads)
-        n = threads;
-    if (n == 0)
-        n = 1;
-
-    const std::size_t base = range / n;
-    const std::size_t rem = range % n;
-    std::size_t at = begin;
     chunks.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t len = base + (i < rem ? 1 : 0);
-        chunks.push_back({at, at + len});
-        at += len;
-    }
-    checkInvariant(at == end, "splitRange: chunks do not cover range");
+    for (std::size_t i = 0; i < n; ++i)
+        chunks.push_back(chunkBounds(begin, end, n, i));
     return chunks;
 }
 
@@ -261,26 +251,6 @@ void
 runChunks(std::size_t n, const std::function<void(std::uint32_t)> &fn)
 {
     ThreadPool::get().run(n, fn);
-}
-
-void
-parallelFor(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::uint32_t, std::size_t, std::size_t)>
-        &fn,
-    std::uint32_t threads)
-{
-    const auto chunks =
-        splitRange(begin, end, grain, resolveThreads(threads));
-    if (chunks.empty())
-        return;
-    if (chunks.size() == 1) {
-        fn(0, chunks[0].begin, chunks[0].end);
-        return;
-    }
-    runChunks(chunks.size(), [&](std::uint32_t t) {
-        fn(t, chunks[t].begin, chunks[t].end);
-    });
 }
 
 } // namespace maxk

@@ -58,10 +58,30 @@ void setDefaultThreads(std::uint32_t threads);
 std::uint32_t defaultThreads();
 
 /**
- * Deterministic static partition of [begin, end) into at most `threads`
- * contiguous, ascending, non-empty chunks of at least `grain` elements
- * (except that a range smaller than `grain` yields one chunk). The
- * layout is a pure function of the arguments.
+ * Number of chunks the static partition of [begin, end) has: at most
+ * `threads`, each of at least `grain` elements (except that a nonempty
+ * range smaller than `grain` is one chunk); 0 for an empty range.
+ */
+std::size_t chunkCount(std::size_t begin, std::size_t end,
+                       std::size_t grain, std::uint32_t threads);
+
+/**
+ * Chunk `i` of the `n`-chunk partition of [begin, end): contiguous and
+ * ascending, the first (end - begin) % n chunks one element longer.
+ */
+inline IndexRange
+chunkBounds(std::size_t begin, std::size_t end, std::size_t n,
+            std::size_t i)
+{
+    const std::size_t base = (end - begin) / n;
+    const std::size_t rem = (end - begin) % n;
+    const std::size_t at = begin + i * base + (i < rem ? i : rem);
+    return {at, at + base + (i < rem ? 1 : 0)};
+}
+
+/**
+ * The whole static partition of [begin, end) (chunkCount chunks, each
+ * chunkBounds). The layout is a pure function of the arguments.
  */
 std::vector<IndexRange> splitRange(std::size_t begin, std::size_t end,
                                    std::size_t grain,
@@ -78,16 +98,34 @@ void runChunks(std::size_t n,
 
 /**
  * Deterministic parallel loop over [begin, end): statically partitions
- * the range (splitRange) and invokes fn(chunkIndex, chunkBegin,
- * chunkEnd) for each chunk, each on exactly one worker.
+ * the range (chunkCount / chunkBounds, the splitRange layout) and
+ * invokes fn(chunkIndex, chunkBegin, chunkEnd) for each chunk, each on
+ * exactly one worker. A one-chunk loop calls fn directly and makes no
+ * heap allocation; a multi-chunk one allocates only the pool's
+ * per-region batch.
  *
  * @param threads explicit worker count; 0 = process default
  */
-void parallelFor(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::uint32_t, std::size_t, std::size_t)>
-        &fn,
-    std::uint32_t threads = 0);
+template <class Fn>
+void
+parallelFor(std::size_t begin, std::size_t end, std::size_t grain, Fn &&fn,
+            std::uint32_t threads = 0)
+{
+    const std::size_t n =
+        chunkCount(begin, end, grain, resolveThreads(threads));
+    if (n == 0)
+        return;
+    if (n == 1) {
+        fn(std::uint32_t{0}, begin, end);
+        return;
+    }
+    // Two references fit std::function's in-place buffer: no heap.
+    const struct { std::size_t begin, end, n; } split{begin, end, n};
+    runChunks(n, [&split, &fn](std::uint32_t t) {
+        const IndexRange c = chunkBounds(split.begin, split.end, split.n, t);
+        fn(t, c.begin, c.end);
+    });
+}
 
 } // namespace maxk
 

@@ -1,29 +1,9 @@
 #include "dist/sharded_model.hh"
 
-#include <string>
-#include <utility>
-
 #include "common/logging.hh"
-#include "kernels/registry.hh"
 
 namespace maxk::dist
 {
-
-ShardedModel::ShardedModel(const nn::ModelConfig &cfg,
-                           const HaloShard &shard)
-    : shard_(shard), model_(cfg)
-{
-    if (cfg.kernelVariant != "auto")
-        return;
-    // Resolve once against the rank's extended subgraph (the adjacency
-    // every aggregation here runs over) at the stack's hidden width,
-    // then pin: re-selecting per launch would recompute the same answer
-    // from the same cached stats.
-    const kernels::KernelVariant &v = kernels::resolveSpmmVariant(
-        "auto", shard.extGraph, cfg.hiddenDim);
-    for (nn::GnnLayer &layer : model_.layers())
-        layer.setKernelVariant(std::string(v.name));
-}
 
 const Matrix &
 ShardedModel::forward(Communicator &comm, HaloExchange &ex,

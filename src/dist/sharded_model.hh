@@ -43,14 +43,10 @@ namespace maxk::dist
 class ShardedModel
 {
   public:
-    /**
-     * Builds the replica; an "auto" kernel variant in `cfg` is resolved
-     * once against this rank's extended subgraph and pinned into every
-     * layer — partitions differ in degree shape, so ranks legitimately
-     * pin different schedules (a per-rank adaptive choice the
-     * single-device path cannot express).
-     */
-    ShardedModel(const nn::ModelConfig &cfg, const HaloShard &shard);
+    ShardedModel(const nn::ModelConfig &cfg, const HaloShard &shard)
+        : shard_(shard), model_(cfg)
+    {
+    }
 
     /**
      * Full forward over the extended features (numExt rows; halo rows

@@ -69,7 +69,8 @@ struct DeviceConfig
      * the paper's (ratio < 1 for the scaled-down dataset twins). Keeping
      * cache-size : working-set constant preserves the hit-rate regime the
      * paper measured, which is what the speedup shape depends on
-     * (DESIGN.md Sec. 1). Bandwidths and clocks are left untouched.
+     * (README "Synthetic twins"). Bandwidths and clocks are left
+     * untouched.
      */
     DeviceConfig scaledForWorkingSet(double ratio) const;
 

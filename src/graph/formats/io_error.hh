@@ -3,8 +3,8 @@
  * Error taxonomy for the dataset-ingestion layer. Every loader in
  * graph/formats returns Expected<CsrGraph, IoError> so that malformed
  * input is a *value* the caller (and the test suite) can inspect, not a
- * process exit. The legacy graph/io.hh entry points keep their fatal()
- * contract by wrapping these results.
+ * process exit. A caller that cannot go on without the graph (the
+ * dataset registry, the CLIs) turns the error into one itself.
  */
 
 #ifndef MAXK_GRAPH_FORMATS_IO_ERROR_HH

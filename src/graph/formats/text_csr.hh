@@ -1,8 +1,7 @@
 /**
  * @file
  * The project's plain-text CSR format ("maxk-csr"), behind the
- * Expected/IoError path. This is the same format graph/io.hh has always
- * documented:
+ * Expected/IoError path:
  *
  *   line 1: "maxk-csr 1 <numNodes> <numEdges>"
  *   line 2: numNodes+1 white-space separated rowPtr entries

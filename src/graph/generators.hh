@@ -1,7 +1,8 @@
 /**
  * @file
  * Synthetic graph generators standing in for the paper's 24 public
- * datasets (DESIGN.md Sec. 1). Two families matter for kernel behaviour:
+ * datasets (README "Synthetic twins"). Two families matter for kernel
+ * behaviour:
  *
  *  - power-law graphs (RMAT): reproduce the skewed "evil row" degree
  *    distribution that causes SpMM warp imbalance (Sec. 1 of the paper);

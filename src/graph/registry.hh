@@ -2,7 +2,7 @@
  * @file
  * Dataset registry: the paper's Table 1 metadata plus scaled synthetic
  * twins that this offline reproduction materialises in place of the real
- * downloads (see DESIGN.md Sec. 1 for the substitution argument).
+ * downloads (README "Synthetic twins" holds the substitution argument).
  *
  * Twin scaling rule: preserve the paper's average degree exactly, cap the
  * node count so that nnz stays below a simulation budget, and generate a
@@ -73,9 +73,9 @@ struct TrainingTask
 
     /**
      * Accuracy-twin scale. Accuracy experiments run on a smaller graph
-     * than the kernel-timing twins (DESIGN.md: timing shape depends on
-     * structural scale, accuracy only on task learnability), so the
-     * training twin caps nodes/degree further.
+     * than the kernel-timing twins (README "Synthetic twins": timing
+     * depends on structural scale, accuracy only on task
+     * learnability), so the training twin caps nodes/degree further.
      */
     NodeId accuracyNodes;
     double accuracyAvgDegree;

@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/trace.hh"
 #include "kernels/selector.hh"
-#include "kernels/spmm_fast.hh"
 #include "kernels/spmm_gnna.hh"
 #include "kernels/spmm_nnz_balanced.hh"
 #include "kernels/spmm_outer_naive.hh"
@@ -38,46 +37,31 @@ runGnna(const CsrGraph &a, const Matrix &x, Matrix &y, const SimOptions &opt)
     return spmmGnna(a, a.edgeGroupsCached(opt.workloadCap), x, y, opt);
 }
 
-void
-fastRef(const CsrGraph &a, const Matrix &x, Matrix &y, RowSet rows)
-{
-    spmmReference(a, x, y, rows);
-}
-
-void
-fastTransposed(const CsrGraph &a, const Matrix &x, Matrix &y, RowSet rows)
-{
-    // A^T * X scatters into arbitrary output rows: no row-set form.
-    checkInvariant(rows.all(),
-                   "spmm_outer_naive: a transposed SpMM takes no row set");
-    spmmTransposedFast(a, x, y);
-}
-
 constexpr std::array<KernelVariant, 6> kVariants{{
     {"spmm_ref",
      "golden reference (double accumulation, no device model)",
      /*simulated=*/false, /*transposed=*/false, /*selectable=*/false,
-     &runRef, &fastRef},
+     &runRef},
     {"spmm_row_wise",
      "cuSPARSE-like row-wise product: register accumulation, one "
      "coalesced store per row",
-     true, false, true, &spmmRowWise, &spmmRowWiseFast},
+     true, false, true, &spmmRowWise},
     {"spmm_gnna",
      "GNNAdvisor-like neighbour groups: shared-memory partials, atomic "
      "merge, efficiency derate",
-     true, false, true, &runGnna, &spmmRowWiseFast},
+     true, false, true, &runGnna},
     {"spmm_nnz_balanced",
      "fixed nonzeros per work unit: amortised metadata streams, atomic "
      "merge only for split hub rows",
-     true, false, true, &spmmNnzBalanced, &spmmRowWiseFast},
+     true, false, true, &spmmNnzBalanced},
     {"spmm_row_caching",
      "tile-local shared-memory staging of dense rows: reuse collapses "
      "DRAM traffic on regular graphs",
-     true, false, true, &spmmRowCaching, &spmmRowWiseFast},
+     true, false, true, &spmmRowCaching},
     {"spmm_outer_naive",
      "naive outer-product Y = A^T * X: scatter atomics per nonzero "
      "(backward-shaped baseline)",
-     true, true, false, &spmmOuterNaive, &fastTransposed},
+     true, true, false, &spmmOuterNaive},
 }};
 
 } // namespace

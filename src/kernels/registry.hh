@@ -1,19 +1,15 @@
 /**
  * @file
- * Kernel-variant registry: the single dispatch point for every SpMM
- * implementation in the tree.
+ * Kernel-variant registry: the single dispatch point for every
+ * simulated SpMM schedule in the tree, plus the golden reference.
  *
- * Each variant exposes two entry points behind one uniform signature:
- *
- *  - run():  the simulated kernel — real arithmetic plus roofline
- *            accounting, functional output bitwise-identical to
- *            spmmReference (double accumulation) at any MAXK_THREADS;
- *  - fast(): the functional training loop — fp32 accumulation, no
- *            device model. All forward variants share the same fast
- *            loops (the schedule only changes the traffic model), so
- *            training numerics are invariant under kernel selection.
- *            It takes a RowSet (tensor/row_set.hh): the rows of the
- *            output to compute, every row by default.
+ * Each variant's run() is the simulated kernel behind one uniform
+ * signature: real arithmetic plus roofline accounting, with functional
+ * output bitwise-identical to spmmReference (double accumulation) at
+ * any MAXK_THREADS. Only the traffic model differs between schedules.
+ * The host's functional path (nn::aggregateDense and friends) runs one
+ * fp32 loop whatever schedule is modelled, so no registry choice can
+ * reach training or serving numerics.
  *
  * Call sites name variants by string ("spmm_row_wise", ...); "auto"
  * resolves through the adaptive selector (kernels/selector.hh). The
@@ -32,7 +28,6 @@
 #include "graph/csr.hh"
 #include "kernels/sim_options.hh"
 #include "tensor/matrix.hh"
-#include "tensor/row_set.hh"
 
 namespace maxk::kernels
 {
@@ -40,10 +35,6 @@ namespace maxk::kernels
 /** Uniform simulated-kernel signature. */
 using SpmmSimFn = gpusim::KernelStats (*)(const CsrGraph &, const Matrix &,
                                           Matrix &, const SimOptions &);
-
-/** Uniform functional fast-path signature. */
-using SpmmFastFn = void (*)(const CsrGraph &, const Matrix &, Matrix &,
-                            RowSet);
 
 /** One registered SpMM implementation. */
 struct KernelVariant
@@ -63,7 +54,6 @@ struct KernelVariant
     bool selectable = false;
 
     SpmmSimFn run = nullptr;
-    SpmmFastFn fast = nullptr;
 };
 
 /** All registered variants, in registration order. */

@@ -7,7 +7,6 @@
 #define MAXK_KERNELS_SIM_OPTIONS_HH
 
 #include <cstdint>
-#include <string>
 
 #include "gpusim/device.hh"
 
@@ -52,25 +51,6 @@ struct SimOptions
      * through sp_index (uncoalesced).
      */
     bool sspmmPrefetch = true;
-
-    /**
-     * Select the fused MaxK->SpGEMM forward in the simulated pipelines
-     * (profileEpoch, benches): pivot-select, CBSR emit and the row-wise
-     * product run as one launch, so sp_data never round-trips through
-     * global memory (core/spgemm_forward.hh, spgemmForwardFused).
-     * Functional output is bitwise-identical to the unfused pipeline.
-     */
-    bool fusedForward = false;
-
-    /**
-     * SpMM kernel variant for baseline/dense aggregation launches:
-     * "" or "default" = the static row-wise default, "auto" = the
-     * adaptive per-launch selector (kernels/selector.hh), anything else
-     * a registered variant name (kernels/registry.hh). Functional
-     * results are identical for every value; only the simulated
-     * schedule — and therefore the reported stats — changes.
-     */
-    std::string kernelVariant;
 
     /**
      * Host worker threads for the row-parallel kernel loops. 0 = use

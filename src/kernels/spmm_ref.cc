@@ -10,17 +10,16 @@ namespace maxk
 {
 
 void
-spmmReference(const CsrGraph &a, const Matrix &x, Matrix &y, RowSet rows)
+spmmReference(const CsrGraph &a, const Matrix &x, Matrix &y)
 {
     checkInvariant(x.rows() == a.numNodes(),
                    "spmmReference: X row count != |V|");
     const std::size_t dim = x.cols();
     y.ensureShape(a.numNodes(), dim);
-    parallelFor(0, rows.size(a.numNodes()), 16,
+    parallelFor(0, a.numNodes(), 16,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
                     std::vector<double> acc(dim);
-                    for (std::size_t r = begin; r < end; ++r) {
-                        const NodeId i = static_cast<NodeId>(rows[r]);
+                    for (std::size_t i = begin; i < end; ++i) {
                         std::fill(acc.begin(), acc.end(), 0.0);
                         for (EdgeId e = a.rowPtr()[i];
                              e < a.rowPtr()[i + 1]; ++e) {

@@ -10,15 +10,13 @@
 
 #include "graph/csr.hh"
 #include "tensor/matrix.hh"
-#include "tensor/row_set.hh"
 
 namespace maxk
 {
 
-/** Y = A * X on the rows of `rows` (tensor/row_set.hh). Y is shaped
- *  numNodes x X.cols(); each listed row is overwritten. */
-void spmmReference(const CsrGraph &a, const Matrix &x, Matrix &y,
-                   RowSet rows = {});
+/** Y = A * X. Y is shaped numNodes x X.cols(); every row is
+ *  overwritten. */
+void spmmReference(const CsrGraph &a, const Matrix &x, Matrix &y);
 
 /** Y = A^T * X without materialising the transpose. */
 void spmmTransposedReference(const CsrGraph &a, const Matrix &x, Matrix &y);

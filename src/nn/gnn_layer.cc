@@ -6,8 +6,6 @@
 #include "common/parallel.hh"
 #include "core/maxk.hh"
 #include "core/transpose_gather.hh"
-#include "kernels/registry.hh"
-#include "kernels/spmm_fast.hh"
 #include "tensor/ops.hh"
 
 namespace maxk::nn
@@ -51,16 +49,47 @@ void
 aggregateDense(const CsrGraph &a, const Matrix &x, Matrix &out,
                RowSet rows)
 {
-    // The shared fp32 fast loop behind every registered forward variant
-    // (kernels/spmm_fast.hh); the historical name stays for call sites.
-    spmmRowWiseFast(a, x, out, rows);
+    const std::size_t dim = x.cols();
+    out.ensureShape(a.numNodes(), dim);
+    parallelFor(0, rows.size(a.numNodes()), kRowGrain,
+                [&](std::uint32_t, std::size_t begin, std::size_t end) {
+                    for (std::size_t r = begin; r < end; ++r) {
+                        const NodeId i = static_cast<NodeId>(rows[r]);
+                        Float *o = out.row(i);
+                        std::fill_n(o, dim, 0.0f);
+                        for (EdgeId e = a.rowPtr()[i];
+                             e < a.rowPtr()[i + 1]; ++e) {
+                            const Float v = a.values()[e];
+                            const Float *xr = x.row(a.colIdx()[e]);
+                            for (std::size_t d = 0; d < dim; ++d)
+                                o[d] += v * xr[d];
+                        }
+                    }
+                });
 }
 
 void
 aggregateDenseTransposed(const CsrGraph &a, const Matrix &x, Matrix &out)
 {
-    // Shared fp32 reverse-aggregation loop (kernels/spmm_fast.hh).
-    spmmTransposedFast(a, x, out);
+    const std::size_t dim = x.cols();
+    out.ensureShape(a.numNodes(), dim);
+    out.setZero();
+    if (resolveThreads(0) <= 1) {
+        for (NodeId i = 0; i < a.numNodes(); ++i) {
+            const Float *xr = x.row(i);
+            for (EdgeId e = a.rowPtr()[i]; e < a.rowPtr()[i + 1]; ++e) {
+                const Float v = a.values()[e];
+                Float *o = out.row(a.colIdx()[e]);
+                for (std::size_t d = 0; d < dim; ++d)
+                    o[d] += v * xr[d];
+            }
+        }
+        return;
+    }
+
+    // Scatter-shaped: bitwise-deterministic gather over the stable
+    // transpose (see core/transpose_gather.hh).
+    gatherTransposedDense(a, x, out);
 }
 
 void
@@ -153,10 +182,7 @@ GnnLayer::forward(const CsrGraph &a, const Matrix &x, Matrix &out,
                    "GnnLayer::forward: feature row count != |V|");
     // The two phases run back-to-back here; the sharded executor
     // (dist::ShardedModel) inserts the boundary-row halo exchange
-    // between them. The fused-forward flag only selects the fused cost
-    // model in profileEpoch; the fused launch executes the exact same
-    // arithmetic as compress-then-aggregate, so the functional result
-    // is bitwise-identical either way.
+    // between them.
     forwardCompute(x, training, rng);
     forwardCombine(a, out);
 }
@@ -197,12 +223,7 @@ GnnLayer::forwardCombine(const CsrGraph &a, const Matrix &x, Matrix &out,
     if (usedCbsr_) {
         aggregateCbsr(a, cbsr_, out, target);
     } else {
-        // Registry dispatch: every forward variant shares the same fp32
-        // fast loop, so the configured variant ("auto" included) cannot
-        // perturb training numerics — it selects the simulated schedule
-        // profileEpoch charges for this aggregation.
-        kernels::resolveSpmmVariant(cfg_.kernelVariant, a, hDense_.cols())
-            .fast(a, hDense_, out, target);
+        aggregateDense(a, hDense_, out, target);
     }
 
     if (cfg_.kind == GnnKind::Sage) {

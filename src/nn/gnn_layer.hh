@@ -30,9 +30,12 @@
  * rows) and the SAGE self path (target rows) read are valid. The row
  * form applies no dropout and caches nothing for backward.
  *
- * This class implements the fast functional path used for training
- * epochs; simulated kernel timing is produced separately by
- * profileEpoch() in trainer.hh (see DESIGN.md Sec. 4, decision 4).
+ * This class is the host's functional path: one fp32 loop per
+ * operation, whatever schedule the simulator models for it, so a
+ * kernel-schedule choice never moves an output bit. Simulated kernel
+ * timing, and with it every such choice, lives in profileEpoch()
+ * (trainer.hh); README "Kernel variants and adaptive selection" holds
+ * the argument.
  */
 
 #ifndef MAXK_NN_GNN_LAYER_HH
@@ -40,7 +43,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/cbsr.hh"
@@ -75,28 +77,6 @@ struct GnnLayerConfig
     bool lastLayer = false;     //!< last layer: identity nonlinearity
     Float ginEps = 0.0f;
     Float dropout = 0.0f;
-
-    /**
-     * Run the MaxK nonlinearity and the SpGEMM aggregation as one fused
-     * launch: profileEpoch selects the spgemmForwardFused cost model,
-     * where the fused launch saves the sp_data global round-trip
-     * (core/spgemm_forward.hh). The functional path is phase-split
-     * either way (forwardCompute / forwardCombine, so the sharded
-     * executor can exchange halo rows in between) and the result is
-     * bitwise-identical — the fused launch executes the exact same
-     * arithmetic as compress-then-aggregate.
-     */
-    bool fusedForward = false;
-
-    /**
-     * SpMM variant for the dense aggregation path: "" = static
-     * row-wise default, "auto" = adaptive selector, else a registered
-     * variant name (kernels/registry.hh). Every variant shares the
-     * same fp32 functional loop, so training numerics are invariant —
-     * the choice drives the simulated schedule profileEpoch charges
-     * and what the sharded executor pins per partition.
-     */
-    std::string kernelVariant;
 };
 
 /**
@@ -197,14 +177,6 @@ class GnnLayer
     void backwardPost(const CsrGraph &a, const Matrix &d_out);
 
     void collectParams(ParamRefs &out);
-
-    /** Re-pin the aggregation variant after construction (the sharded
-     *  executor resolves "auto" once against its rank's extended
-     *  subgraph and pins the result here). */
-    void setKernelVariant(std::string v)
-    {
-        cfg_.kernelVariant = std::move(v);
-    }
 
     const GnnLayerConfig &config() const { return cfg_; }
     std::size_t inDim() const { return linear1_.inDim(); }

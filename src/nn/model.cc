@@ -33,11 +33,9 @@ GnnModel::GnnModel(const ModelConfig &cfg)
         lc.kind = cfg.kind;
         lc.nonlin = cfg.nonlin;
         lc.maxkK = cfg.maxkK;
-        lc.fusedForward = cfg.fusedForward;
         lc.lastLayer = l + 1 == cfg.numLayers;
         lc.ginEps = cfg.ginEps;
         lc.dropout = cfg.dropout;
-        lc.kernelVariant = cfg.kernelVariant;
         layers_.emplace_back(lc, layerInDim(l), layerOutDim(l), init_rng,
                              "layer" + std::to_string(l));
     }

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "graph/csr.hh"
@@ -26,7 +25,6 @@ struct ModelConfig
     GnnKind kind = GnnKind::Sage;
     Nonlinearity nonlin = Nonlinearity::Relu;
     std::uint32_t maxkK = 32;       //!< k for MaxK layers
-    bool fusedForward = false;      //!< fuse MaxK select into the SpGEMM
     std::uint32_t numLayers = 3;
     std::size_t inDim = 64;
     std::size_t hiddenDim = 64;
@@ -34,11 +32,6 @@ struct ModelConfig
     Float dropout = 0.5f;
     Float ginEps = 0.0f;
     std::uint64_t seed = 42;
-
-    /** SpMM variant for dense aggregation ("" = default, "auto" =
-     *  adaptive selector, else a registry name); copied into every
-     *  layer's GnnLayerConfig. */
-    std::string kernelVariant;
 };
 
 /** Stack of GNN layers with cached activations for backprop. */

@@ -9,7 +9,6 @@
 #include "core/sspmm_backward.hh"
 #include "kernels/gemm_cost.hh"
 #include "kernels/registry.hh"
-#include "kernels/spmm_gnna.hh"
 #include "nn/loss.hh"
 #include "nn/metrics.hh"
 #include "nn/optimizer.hh"
@@ -21,28 +20,15 @@ namespace maxk::nn
 namespace
 {
 
-/**
- * Simulated latency of one SpMM of width dim on graph a. A configured
- * kernel variant (model- or launch-level, "auto" included) overrides
- * the legacy baseline enum and dispatches through the registry; the
- * enum keeps charging its historical kernels otherwise.
- */
+/** Simulated latency of one `variant` SpMM of width dim on graph a. */
 double
-baselineAggSeconds(const CsrGraph &a, const EdgeGroupPartition &part,
-                   std::size_t dim, const SimOptions &opt,
-                   BaselineKernel baseline, std::string_view variant,
-                   Rng &rng)
+baselineAggSeconds(const CsrGraph &a, std::size_t dim, const SimOptions &opt,
+                   const kernels::KernelVariant &variant, Rng &rng)
 {
     Matrix x(a.numNodes(), dim);
     fillNormal(x, rng, 0.0f, 1.0f);
     Matrix y;
-    if (!variant.empty())
-        return kernels::resolveSpmmVariant(variant, a, dim, 0, opt)
-            .run(a, x, y, opt)
-            .totalSeconds;
-    if (baseline == BaselineKernel::CuSparse)
-        return kernels::defaultSpmmVariant().run(a, x, y, opt).totalSeconds;
-    return spmmGnna(a, part, x, y, opt).totalSeconds;
+    return variant.run(a, x, y, opt).totalSeconds;
 }
 
 } // namespace
@@ -50,8 +36,11 @@ baselineAggSeconds(const CsrGraph &a, const EdgeGroupPartition &part,
 EpochTiming
 profileEpoch(const ModelConfig &cfg, const CsrGraph &a,
              const EdgeGroupPartition &part, const SimOptions &opt,
-             BaselineKernel baseline)
+             const kernels::KernelVariant &baseline)
 {
+    checkInvariant(baseline.simulated && !baseline.transposed,
+                   "profileEpoch: the baseline must be a simulated "
+                   "forward SpMM");
     EpochTiming t;
     const NodeId n = a.numNodes();
     Rng rng(0xBADF00Dull + cfg.maxkK * 7919 + cfg.numLayers);
@@ -102,22 +91,9 @@ profileEpoch(const ModelConfig &cfg, const CsrGraph &a,
             fillNormal(h, rng, 0.0f, 1.0f);
 
             CbsrMatrix pattern;
-            if (opt.fusedForward || cfg.fusedForward) {
-                // One launch: select+compress feeds the row-wise
-                // product on-chip. The select phase is still charged to
-                // the nonlinearity bucket so the Fig. 1 decomposition
-                // stays comparable with the unfused pipeline.
-                Matrix y;
-                const gpusim::KernelStats st =
-                    spgemmForwardFused(a, part, h, k, pattern, y, opt);
-                double select_seconds = 0.0;
-                for (const auto &ph : st.phases)
-                    if (ph.name == "select+compress")
-                        select_seconds =
-                            ph.seconds(opt.device, st.efficiency);
-                t.nonlin += select_seconds;
-                t.aggFwd += st.totalSeconds - select_seconds;
-            } else {
+            {
+                // Scoped: the forward output is freed before the
+                // backward operands are allocated.
                 MaxKResult mk = maxkCompress(h, k, opt);
                 t.nonlin += mk.stats.totalSeconds;
                 Matrix y;
@@ -145,17 +121,10 @@ profileEpoch(const ModelConfig &cfg, const CsrGraph &a,
                                           out_dim,
                                       opt.device);
             }
-            // Model-level variant beats the launch-level one; both beat
-            // the legacy baseline enum.
-            const std::string_view variant = !cfg.kernelVariant.empty()
-                                                 ? cfg.kernelVariant
-                                                 : opt.kernelVariant;
-            t.aggFwd += baselineAggSeconds(a, part, out_dim, opt,
-                                           baseline, variant, rng);
+            t.aggFwd += baselineAggSeconds(a, out_dim, opt, baseline, rng);
             // Backward SpMM on A^T (same structure for the symmetric
             // twins; identical traffic).
-            t.aggBwd += baselineAggSeconds(a, part, out_dim, opt,
-                                           baseline, variant, rng);
+            t.aggBwd += baselineAggSeconds(a, out_dim, opt, baseline, rng);
         }
     }
 

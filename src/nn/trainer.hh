@@ -2,14 +2,16 @@
  * @file
  * Full-batch trainer plus the simulated epoch-time profiler.
  *
- * The two concerns are deliberately decoupled (DESIGN.md Sec. 1):
+ * The two concerns are deliberately decoupled (README "Synthetic
+ * twins"):
  *  - Trainer runs the fast functional path to measure accuracy /
  *    convergence on the (small) accuracy twin;
  *  - profileEpoch runs the simulated kernels once on the (larger,
  *    degree-faithful) kernel twin to obtain the epoch-time composition
  *    that Fig. 1 / Fig. 9 / Table 5 report. Epoch timing is workload-
  *    shape dependent but not weight dependent, so one profile per
- *    configuration suffices.
+ *    configuration suffices. Kernel schedules are chosen here, never
+ *    in the functional path, which has one loop per op.
  */
 
 #ifndef MAXK_NN_TRAINER_HH
@@ -18,15 +20,13 @@
 #include "graph/csr.hh"
 #include "graph/edge_groups.hh"
 #include "graph/registry.hh"
+#include "kernels/registry.hh"
 #include "kernels/sim_options.hh"
 #include "nn/epoch_loop.hh"
 #include "nn/model.hh"
 
 namespace maxk::nn
 {
-
-/** Which baseline SpMM implementation a profile charges (Fig. 9 axes). */
-enum class BaselineKernel { CuSparse, Gnna };
 
 /** Simulated per-epoch time decomposition (seconds). */
 struct EpochTiming
@@ -53,13 +53,16 @@ struct EpochTiming
 
 /**
  * Profile one simulated training epoch of `cfg` on graph `a`.
- * For ReLU models the aggregation is charged to `baseline`'s SpMM; for
- * MaxK models to the SpGEMM/SSpMM kernels. Deterministic given opt.
+ * For ReLU models the dense aggregations (forward and backward) are
+ * charged to `baseline`, a simulated forward-shaped registry entry (the
+ * Fig. 9 axes: the cuSPARSE-like default, or "spmm_gnna" for
+ * GNNAdvisor); for MaxK models to the SpGEMM/SSpMM kernels over
+ * `part`. Deterministic given opt.
  */
-EpochTiming profileEpoch(const ModelConfig &cfg, const CsrGraph &a,
-                         const EdgeGroupPartition &part,
-                         const SimOptions &opt,
-                         BaselineKernel baseline = BaselineKernel::CuSparse);
+EpochTiming profileEpoch(
+    const ModelConfig &cfg, const CsrGraph &a,
+    const EdgeGroupPartition &part, const SimOptions &opt,
+    const kernels::KernelVariant &baseline = kernels::defaultSpmmVariant());
 
 /** Full-batch trainer for one model on one training twin. */
 class Trainer

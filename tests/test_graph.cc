@@ -13,8 +13,8 @@
 #include "common/rng.hh"
 #include "core/transpose_gather.hh"
 #include "graph/csr.hh"
+#include "graph/formats/text_csr.hh"
 #include "graph/generators.hh"
-#include "graph/io.hh"
 #include "graph/stats.hh"
 #include "tensor/init.hh"
 
@@ -355,33 +355,39 @@ TEST(GraphIo, SaveLoadRoundTrip)
     Rng rng(31);
     CsrGraph g = erdosRenyi(40, 120, rng);
     g.setAggregatorWeights(Aggregator::SageMean);
-    const std::string path = "/tmp/maxk_test_graph.csr";
-    ASSERT_TRUE(saveGraph(g, path));
-    const CsrGraph loaded = loadGraph(path);
-    EXPECT_EQ(loaded.numNodes(), g.numNodes());
-    EXPECT_EQ(loaded.rowPtr(), g.rowPtr());
-    EXPECT_EQ(loaded.colIdx(), g.colIdx());
-    ASSERT_EQ(loaded.values().size(), g.values().size());
+    const std::string path = ::testing::TempDir() + "maxk_test_graph.csr";
+    ASSERT_TRUE(formats::saveTextCsr(g, path));
+    const GraphResult loaded = formats::loadTextCsr(path);
+    ASSERT_TRUE(loaded.hasValue()) << loaded.error().describe();
+    EXPECT_EQ(loaded->numNodes(), g.numNodes());
+    EXPECT_EQ(loaded->rowPtr(), g.rowPtr());
+    EXPECT_EQ(loaded->colIdx(), g.colIdx());
+    ASSERT_EQ(loaded->values().size(), g.values().size());
     for (std::size_t i = 0; i < g.values().size(); ++i)
-        EXPECT_NEAR(loaded.values()[i], g.values()[i], 1e-5f);
+        EXPECT_NEAR(loaded->values()[i], g.values()[i], 1e-5f);
     std::remove(path.c_str());
 }
 
 TEST(GraphIo, SaveWithoutValuesLoadsOnes)
 {
     const CsrGraph g = ringLattice(8, 2, false);
-    const std::string path = "/tmp/maxk_test_graph_nv.csr";
-    ASSERT_TRUE(saveGraph(g, path, false));
-    const CsrGraph loaded = loadGraph(path);
-    for (Float v : loaded.values())
+    const std::string path = ::testing::TempDir() + "maxk_test_graph_nv.csr";
+    ASSERT_TRUE(formats::saveTextCsr(g, path, false));
+    const GraphResult loaded = formats::loadTextCsr(path);
+    ASSERT_TRUE(loaded.hasValue()) << loaded.error().describe();
+    for (Float v : loaded->values())
         EXPECT_EQ(v, 1.0f);
     std::remove(path.c_str());
 }
 
-TEST(GraphIoDeathTest, LoadMissingFileIsFatal)
+TEST(GraphIo, LoadMissingFileIsOpenFailed)
 {
-    EXPECT_EXIT(loadGraph("/tmp/definitely_missing_maxk.csr"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    const GraphResult loaded =
+        formats::loadTextCsr("/tmp/definitely_missing_maxk.csr");
+    ASSERT_FALSE(loaded.hasValue());
+    EXPECT_EQ(loaded.error().code, IoErrorCode::OpenFailed);
+    EXPECT_NE(loaded.error().message.find("cannot open"), std::string::npos)
+        << loaded.error().describe();
 }
 
 TEST(TransposeCache, SingleBuildIsReused)

@@ -26,7 +26,6 @@
 #include "core/sspmm_backward.hh"
 #include "graph/edge_groups.hh"
 #include "kernels/registry.hh"
-#include "kernels/spmm_fast.hh"
 #include "kernels/spmm_gnna.hh"
 #include "kernels/spmm_outer_naive.hh"
 #include "kernels/spmm_ref.hh"
@@ -98,39 +97,27 @@ TEST_P(KernelEquivalence, DenseSpmmVariantsAgreePairwise)
 }
 
 /**
- * Registry sweep, the PR-7 acceptance bar: every registered variant —
- * enumerated, not named — reproduces its reference bitwise (`equals`,
- * not "near") at every thread count. Forward variants must equal
- * spmmReference, transposed ones spmmTransposedReference; the fp32 fast
- * path of each variant must equal the shared fast loop the same way.
+ * Registry sweep: every registered variant — enumerated, not named —
+ * reproduces its reference bitwise (`equals`, not "near") at every
+ * thread count. Forward variants must equal spmmReference, transposed
+ * ones spmmTransposedReference.
  */
 TEST_P(KernelEquivalence, RegistryVariantsBitwiseMatchReferenceAcrossThreads)
 {
-    Matrix y_ref, y_tref, y_fast_ref, y_tfast_ref;
+    Matrix y_ref, y_tref;
     spmmReference(g_, x_, y_ref);
     spmmTransposedReference(g_, x_, y_tref);
-    spmmRowWiseFast(g_, x_, y_fast_ref);
-    spmmTransposedFast(g_, x_, y_tfast_ref);
 
     for (const kernels::KernelVariant &v : kernels::kernelRegistry()) {
-        const Matrix &want_sim = v.transposed ? y_tref : y_ref;
+        const Matrix &want = v.transposed ? y_tref : y_ref;
         for (const std::uint32_t threads : {1u, 4u, 8u}) {
             SimOptions opt = opt_;
             opt.threads = threads;
             Matrix y;
             v.run(g_, x_, y, opt);
-            EXPECT_TRUE(y.equals(want_sim))
+            EXPECT_TRUE(y.equals(want))
                 << v.name << " (simulated) at threads=" << threads;
         }
-        // spmm_ref's fast loop is the double-precision reference by
-        // design; every other variant shares the fp32 loops.
-        const Matrix &want_fast =
-            v.name == "spmm_ref"
-                ? y_ref
-                : (v.transposed ? y_tfast_ref : y_fast_ref);
-        Matrix y;
-        v.fast(g_, x_, y, RowSet{});
-        EXPECT_TRUE(y.equals(want_fast)) << v.name << " (fast)";
     }
 }
 

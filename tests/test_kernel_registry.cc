@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/rng.hh"
+#include "common/trace.hh"
 #include "graph/edge_groups.hh"
 #include "graph/generators.hh"
 #include "graph/stats.hh"
@@ -37,7 +38,6 @@ TEST(KernelRegistry, EnumerationIsCompleteAndConsistent)
         EXPECT_TRUE(names.insert(std::string(v.name)).second)
             << "duplicate variant name " << v.name;
         EXPECT_NE(v.run, nullptr) << v.name;
-        EXPECT_NE(v.fast, nullptr) << v.name;
         EXPECT_FALSE(v.summary.empty()) << v.name;
         if (v.selectable) {
             ++selectable;
@@ -133,6 +133,35 @@ TEST(KernelRegistry, AutoResolvesThroughSelectorWithReason)
         kernels::resolveSpmmVariant("auto", g, 32, 0, {}, &reason);
     EXPECT_TRUE(v.selectable) << v.name;
     EXPECT_FALSE(reason.empty());
+}
+
+TEST(KernelRegistry, ArmedAutoResolutionRecordsItsPick)
+{
+    // Observation only: an armed resolution leaves one kernel.dispatch
+    // instant ("variant: reason") and one per-variant counter.
+    telemetry::ArmGuard arm(true);
+    telemetry::clearTrace();
+    telemetry::resetMetrics();
+    const CsrGraph g = ringLattice(512, 8, false);
+    std::string reason;
+    const KernelVariant &v =
+        kernels::resolveSpmmVariant("auto", g, 32, 0, {}, &reason);
+    const std::string name(v.name);
+
+    EXPECT_EQ(telemetry::snapshotMetrics().counter("kernel.dispatch." +
+                                                   name),
+              1u);
+    std::size_t instants = 0;
+    for (const telemetry::SpanRecord &s : telemetry::traceSnapshot()) {
+        if (std::string_view(s.name) != "kernel.dispatch")
+            continue;
+        ++instants;
+        EXPECT_TRUE(s.instant);
+        EXPECT_EQ(std::string(s.detail),
+                  (name + ": " + reason).substr(
+                      0, telemetry::kTraceDetailBytes - 1));
+    }
+    EXPECT_EQ(instants, 1u);
 }
 
 // --- Selector decisions on the probe families the thresholds encode ---

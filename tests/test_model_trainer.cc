@@ -11,6 +11,7 @@
 #include "graph/edge_groups.hh"
 #include "graph/generators.hh"
 #include "graph/registry.hh"
+#include "kernels/registry.hh"
 #include "nn/trainer.hh"
 
 namespace maxk::nn
@@ -336,10 +337,11 @@ TEST(ProfileEpoch, GnnaBaselineSlowerThanCuSparse)
 
     SimOptions opt;
     opt.device = gpusim::DeviceConfig::a100().scaledForWorkingSet(0.01);
-    const double t_cusp =
-        profileEpoch(cfg, g, part, opt, BaselineKernel::CuSparse).total();
+    const double t_cusp = profileEpoch(cfg, g, part, opt).total();
     const double t_gnna =
-        profileEpoch(cfg, g, part, opt, BaselineKernel::Gnna).total();
+        profileEpoch(cfg, g, part, opt,
+                     kernels::kernelVariantOrDie("spmm_gnna"))
+            .total();
     EXPECT_GT(t_gnna, t_cusp);
 }
 

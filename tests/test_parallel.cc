@@ -6,15 +6,18 @@
  * KernelStats at 1/2/4/8 threads, including the scatter-shaped
  * backward paths and with cache simulation both on and off. Plus unit
  * coverage of the pool primitives themselves (splitRange coverage,
- * rowAlignedChunks row integrity, nesting, exception propagation).
+ * rowAlignedChunks row integrity, nesting, exception propagation, and
+ * the heap allocations of a warm loop).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -26,7 +29,6 @@
 #include "core/spgemm_forward.hh"
 #include "core/sspmm_backward.hh"
 #include "graph/edge_groups.hh"
-#include "kernels/spmm_fast.hh"
 #include "kernels/spmm_gnna.hh"
 #include "kernels/spmm_outer_naive.hh"
 #include "kernels/spmm_ref.hh"
@@ -37,6 +39,39 @@
 #include "support/oracles.hh"
 #include "tensor/init.hh"
 #include "tensor/ops.hh"
+
+namespace
+{
+/** Every global operator new in this test binary, on any thread. */
+std::atomic<std::uint64_t> g_heapAllocs{0};
+} // namespace
+
+// Test-only replacement of the global allocation functions, so the
+// allocation tests below see std::vector and std::function storage
+// (AllocProbe sees only Matrix/CbsrMatrix). The array and nothrow forms
+// forward here. Kept out of line: inlined, the free() inside delete
+// would pair with a call to new at the call site, which GCC reports as
+// a mismatch.
+[[gnu::noinline]] void *
+operator new(std::size_t bytes)
+{
+    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(bytes == 0 ? 1 : bytes))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace maxk
 {
@@ -256,6 +291,70 @@ TEST(ResolveThreads, PrecedenceAndOverride)
     EXPECT_EQ(resolveThreads(0), 5u);
     EXPECT_EQ(resolveThreads(2), 2u); // explicit request wins
     setDefaultThreads(0);
+}
+
+TEST(ParallelFor, ChunksAreTheSplitRangeLayout)
+{
+    ThreadGuard guard;
+    for (std::size_t n : {1ul, 7ul, 64ul, 1000ul}) {
+        for (std::uint32_t t : {1u, 3u, 4u, 8u}) {
+            std::vector<IndexRange> got(t);
+            parallelFor(
+                5, 5 + n, 4,
+                [&](std::uint32_t c, std::size_t b, std::size_t e) {
+                    got[c] = {b, e};
+                },
+                t);
+            const auto want = splitRange(5, 5 + n, 4, t);
+            ASSERT_EQ(chunkCount(5, 5 + n, 4, t), want.size());
+            for (std::size_t c = 0; c < want.size(); ++c) {
+                EXPECT_EQ(got[c].begin, want[c].begin) << n << "/" << t;
+                EXPECT_EQ(got[c].end, want[c].end) << n << "/" << t;
+            }
+        }
+    }
+}
+
+/** Heap allocations `fn` makes, counted over every thread. */
+template <class Fn>
+std::uint64_t
+heapAllocsOf(Fn &&fn)
+{
+    const std::uint64_t before = g_heapAllocs.load();
+    fn();
+    return g_heapAllocs.load() - before;
+}
+
+TEST(ParallelFor, WarmLoopsAllocateOnlyThePoolBatch)
+{
+    ThreadGuard guard;
+    Rng rng(2024);
+    Matrix x(512, 64);
+    fillNormal(x, rng, 0.0f, 1.0f);
+    CbsrMatrix cbsr;
+    std::vector<float> sums(512);
+    // More than two captured references: too big for std::function's
+    // in-place buffer, so a type-erased body would allocate.
+    const auto loop = [&] {
+        parallelFor(0, x.rows(), 16,
+                    [&](std::uint32_t, std::size_t b, std::size_t e) {
+                        for (std::size_t r = b; r < e; ++r)
+                            sums[r] = x.row(r)[0] + static_cast<float>(
+                                                        cbsr.dimK());
+                    });
+    };
+    const auto compress = [&] { nn::maxkCompressFast(x, 8, cbsr); };
+
+    // One worker: one chunk, called in place. Four workers: the pool's
+    // per-region Batch and nothing else.
+    for (const std::uint32_t threads : {1u, 4u}) {
+        setDefaultThreads(threads);
+        loop();
+        compress(); // warm: pool workers and CBSR storage exist
+        const std::uint64_t want = threads == 1 ? 0 : 1;
+        EXPECT_EQ(heapAllocsOf(loop), want) << threads << " workers";
+        EXPECT_EQ(heapAllocsOf(compress), want) << threads << " workers";
+    }
 }
 
 /* -------------------------------------------- kernel determinism ----- */
@@ -870,36 +969,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          nn::Nonlinearity::MaxK),
                        ::testing::Bool()),
     rowSetName);
-
-/** A layer pinned to the double-accumulating reference SpMM keeps that
- *  loop on a row set: its rows equal its own padded forward, which on
- *  this input differs from the fp32 loop's. */
-TEST(RowSetForwardVariant, ReferenceLoopServesRowSetsToo)
-{
-    Rng rng(4343);
-    const CsrGraph g = test::makeGraph(test::GraphShape::ErdosRenyi, 64,
-                                       700, rng);
-    Matrix x(g.numNodes(), 12);
-    fillNormal(x, rng, 0.0f, 1.0f);
-    nn::GnnLayerConfig cfg;
-    cfg.kind = nn::GnnKind::Gcn;
-    cfg.kernelVariant = "spmm_ref";
-    nn::GnnLayer layer(cfg, 12, 10, rng, "ref");
-    Matrix want;
-    Rng drop(1);
-    layer.forward(g, x, want, false, drop);
-    Matrix fp32;
-    spmmRowWiseFast(g, layer.activationDense(), fp32);
-    ASSERT_FALSE(test::matricesBitwise(fp32, want));
-
-    std::vector<NodeId> every(g.numNodes());
-    for (NodeId r = 0; r < g.numNodes(); ++r)
-        every[r] = r;
-    Matrix out;
-    layer.forwardCompute(x, every);
-    layer.forwardCombine(g, x, out, every);
-    EXPECT_TRUE(test::matricesBitwise(out, want));
-}
 
 } // namespace
 } // namespace maxk

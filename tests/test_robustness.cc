@@ -18,8 +18,8 @@
 #include "core/sspmm_backward.hh"
 #include "gpusim/context.hh"
 #include "graph/edge_groups.hh"
+#include "graph/formats/text_csr.hh"
 #include "graph/generators.hh"
-#include "graph/io.hh"
 #include "graph/registry.hh"
 #include "graph/stats.hh"
 #include "nn/trainer.hh"
@@ -137,60 +137,17 @@ TEST(Degenerate, HugeWarpIdsWrapSafely)
     SUCCEED();
 }
 
-TEST(IoRobustness, BadMagicIsFatal)
-{
-    const std::string path = "/tmp/maxk_bad_magic.csr";
-    std::ofstream(path) << "not-a-graph 1 2 2\n0 1 2\n1 0\n";
-    EXPECT_EXIT(loadGraph(path), ::testing::ExitedWithCode(1),
-                "bad header");
-    std::remove(path.c_str());
-}
-
-TEST(IoRobustness, WrongVersionIsFatal)
-{
-    const std::string path = "/tmp/maxk_bad_version.csr";
-    std::ofstream(path) << "maxk-csr 9 2 2\n0 1 2\n1 0\n";
-    EXPECT_EXIT(loadGraph(path), ::testing::ExitedWithCode(1),
-                "bad header");
-    std::remove(path.c_str());
-}
-
-TEST(IoRobustness, TruncatedRowPtrIsFatal)
-{
-    const std::string path = "/tmp/maxk_trunc_rowptr.csr";
-    std::ofstream(path) << "maxk-csr 1 4 2\n0 1\n";
-    EXPECT_EXIT(loadGraph(path), ::testing::ExitedWithCode(1),
-                "truncated rowPtr");
-    std::remove(path.c_str());
-}
-
-TEST(IoRobustness, TruncatedColIdxIsFatal)
-{
-    const std::string path = "/tmp/maxk_trunc_col.csr";
-    std::ofstream(path) << "maxk-csr 1 2 3\n0 2 3\n1\n";
-    EXPECT_EXIT(loadGraph(path), ::testing::ExitedWithCode(1),
-                "truncated colIdx");
-    std::remove(path.c_str());
-}
-
-TEST(IoRobustness, InconsistentCsrIsFatal)
-{
-    // rowPtr.back() != numEdges -> CSR validation failure (now a clean
-    // IoError-driven fatal instead of the seed's fromCsr panic).
-    const std::string path = "/tmp/maxk_inconsistent.csr";
-    std::ofstream(path) << "maxk-csr 1 2 2\n0 1 1\n0 1\n";
-    EXPECT_DEATH(loadGraph(path), "invalid CSR");
-    std::remove(path.c_str());
-}
-
-TEST(IoRobustness, TrailingGarbageIsFatal)
+TEST(IoRobustness, TrailingGarbageFileIsATypedError)
 {
     // The seed loader silently accepted trailing tokens after the
-    // values line; the formats layer rejects them.
-    const std::string path = "/tmp/maxk_trailing.csr";
+    // values line; the formats layer reports them, with the line.
+    const std::string path = ::testing::TempDir() + "maxk_trailing.csr";
     std::ofstream(path) << "maxk-csr 1 2 2\n0 1 2\n1 0\n0.5 0.25\njunk\n";
-    EXPECT_EXIT(loadGraph(path), ::testing::ExitedWithCode(1),
-                "trailing data");
+    const GraphResult loaded = formats::loadTextCsr(path);
+    ASSERT_FALSE(loaded.hasValue());
+    EXPECT_EQ(loaded.error().code, IoErrorCode::TrailingData);
+    EXPECT_EQ(loaded.error().path, path);
+    EXPECT_EQ(loaded.error().line, 5u) << loaded.error().describe();
     std::remove(path.c_str());
 }
 

@@ -11,6 +11,8 @@
  *    across cache fractions {0.1, 0.5, 1.0}, LRU sizes, MAXK_THREADS
  *    {1, 4}, shuffled arrival orders, model kinds (SAGE/GCN/GIN) and
  *    nonlinearities (MaxK/ReLU), including warm-cache repeat replays;
+ *  - cross-engine anchor: cache-off serving at full fanout returns, for
+ *    every vertex, bitwise the full-graph evaluation forward's row;
  *  - steady-state replay performs zero Matrix/CbsrMatrix allocations;
  *  - repeat traffic yields cache hits and strictly higher simulated
  *    throughput than the cache-off path;
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <string>
@@ -527,6 +530,70 @@ TEST(ServeSession, ReplayIsIdempotentOnLogits)
         auto next = session.replay(trace);
         ASSERT_TRUE(next.hasValue());
         expectSameLogits(first.value(), next.value(), id);
+    }
+}
+
+/**
+ * Cross-engine anchor: with a fanout at or above the maximum degree and
+ * no cache, serving samples every neighbour (in CSR order), weighs each
+ * edge with the full graph's degrees (deg_s = deg), and computes every
+ * row independently, so each answered row is bitwise the row the
+ * full-graph evaluation forward gives. No pair differs.
+ */
+TEST(ServeSession, CacheOffFullFanoutEqualsFullGraphForward)
+{
+    ThreadGuard guard;
+    // Symmetric (the GCN weights read in-degrees), with self loops.
+    const CsrGraph topology = test::makeGraph(test::GraphShape::Community,
+                                              256, 1280, 4401);
+    std::uint32_t max_degree = 0;
+    for (NodeId v = 0; v < topology.numNodes(); ++v)
+        max_degree = std::max<std::uint32_t>(
+            max_degree, static_cast<std::uint32_t>(topology.degree(v)));
+    Matrix features(topology.numNodes(), 16);
+    Rng frng(4402);
+    fillNormal(features, frng, 0.0f, 1.0f);
+
+    // Every vertex once, in a shuffled order.
+    Rng trng(4403);
+    std::vector<ServeRequest> trace(topology.numNodes());
+    for (NodeId v = 0; v < topology.numNodes(); ++v)
+        trace[v].vertex = v;
+    for (std::size_t i = trace.size(); i > 1; --i)
+        std::swap(trace[i - 1].vertex, trace[trng.nextBounded(i)].vertex);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        trace[i].arrivalSimSeconds = 1e-5 * static_cast<double>(i);
+
+    ServeConfig cfg = serveConfig(0.0, 0);
+    cfg.fanout = max_degree;
+    for (const nn::GnnKind kind :
+         {nn::GnnKind::Sage, nn::GnnKind::Gcn, nn::GnnKind::Gin}) {
+        for (const nn::Nonlinearity nonlin :
+             {nn::Nonlinearity::MaxK, nn::Nonlinearity::Relu}) {
+            SCOPED_TRACE(std::string(nn::gnnKindName(kind)) + "-" +
+                         nn::nonlinearityName(nonlin));
+            nn::GnnModel model(ServeRig::modelConfig(kind, nonlin, 3, 4404));
+            CsrGraph weighted = topology;
+            weighted.setAggregatorWeights(nn::aggregatorFor(kind));
+            for (const std::uint32_t threads : {1u, 4u}) {
+                SCOPED_TRACE("threads=" + std::to_string(threads));
+                setDefaultThreads(threads);
+                const Matrix full = model.forward(weighted, features, false);
+                ServeSession session(model, topology, features, cfg);
+                ASSERT_FALSE(session.cacheEnabled());
+                auto rep = session.replay(trace);
+                ASSERT_TRUE(rep.hasValue());
+                const Matrix &got = rep.value().logits;
+                ASSERT_EQ(got.cols(), full.cols());
+                for (std::size_t i = 0; i < trace.size(); ++i)
+                    for (std::size_t c = 0; c < full.cols(); ++c)
+                        ASSERT_EQ(std::bit_cast<std::uint32_t>(got.at(i, c)),
+                                  std::bit_cast<std::uint32_t>(
+                                      full.at(trace[i].vertex, c)))
+                            << "vertex " << trace[i].vertex << " col "
+                            << c;
+            }
+        }
     }
 }
 

@@ -305,37 +305,6 @@ TEST(CbsrBackwardEndToEnd, SageMaxkGradStepMatchesDenseReference)
 }
 
 /**
- * GnnLayerConfig::fusedForward selects the fused cost model but must
- * not perturb the functional path: identical training trajectories.
- */
-TEST(FusedForwardFlag, TrainingTrajectoryIsBitwiseIdentical)
-{
-    nn::ModelConfig mc = EpochFixture::makeConfig(
-        nn::GnnKind::Gin, nn::Nonlinearity::MaxK);
-    nn::ModelConfig mc_fused = mc;
-    mc_fused.fusedForward = true;
-
-    EpochFixture f(nn::GnnKind::Gin, nn::Nonlinearity::MaxK);
-    nn::GnnModel plain(mc);
-    nn::GnnModel fused(mc_fused);
-    nn::Adam adam_a(plain.params(), 0.01f);
-    nn::Adam adam_b(fused.params(), 0.01f);
-    for (int epoch = 0; epoch < 2; ++epoch) {
-        const Matrix &la = plain.forward(f.graph, f.features, true);
-        const Matrix &lb = fused.forward(f.graph, f.features, true);
-        ASSERT_TRUE(la.equals(lb)) << "epoch " << epoch;
-        nn::LossResult loss_a =
-            nn::softmaxCrossEntropy(la, f.labels, f.mask);
-        nn::LossResult loss_b =
-            nn::softmaxCrossEntropy(lb, f.labels, f.mask);
-        plain.backward(f.graph, loss_a.gradLogits);
-        fused.backward(f.graph, loss_b.gradLogits);
-        adam_a.step();
-        adam_b.step();
-    }
-}
-
-/**
  * Linear's CBSR overload accumulates into the parameter gradients the
  * same way the dense overload does (a second call adds, SAGE-style).
  */

@@ -9,8 +9,9 @@
  *
  * `select` loads the graph (format auto-sniffed, same ingest path as
  * maxk-convert), prints the feature vector the selector reads, and the
- * variant it picks with its justification — the CLI twin of setting
- * kernelVariant="auto" in a model config.
+ * variant it picks with its justification — the same decision
+ * kernels::resolveSpmmVariant("auto", ...) makes for a simulated
+ * launch.
  *
  * Exit status: 0 success, 1 I/O or format error, 2 usage error.
  */

@@ -11,10 +11,10 @@
  * The scenario is a 4-rank sharded training run (with end-of-epoch
  * checkpointing), a pipelined mini-batch run, and a short online
  * serving replay, all on small synthetic twins — enough to light up
- * every instrumented subsystem: per-layer forward/backward,
- * kernel-dispatch markers, sampler pipeline, per-rank comm spans,
- * checkpoint save/restore, and the serve batcher (whose spans carry
- * the deterministic sim-seconds durations for the second trace lane).
+ * every instrumented subsystem: per-layer forward/backward, sampler
+ * pipeline, per-rank comm spans, checkpoint save/restore, and the
+ * serve batcher (whose spans carry the deterministic sim-seconds
+ * durations for the second trace lane).
  *
  * Before writing anything the tool cross-checks, in-process, that the
  * per-phase span totals from the trace buffers reconcile exactly with
@@ -514,10 +514,9 @@ main(int argc, char **argv)
     const char *required[] = {
         "dist.epoch",        "dist.forward",      "dist.backward",
         "comm.allToAllv",    "comm.barrier",      "comm.allReduce",
-        "nn.layer.forward",  "nn.layer.backward", "kernel.dispatch",
-        "sample.epoch",      "sample.produce",    "sample.draw",
-        "sample.extract",    "sample.train_step", "checkpoint.save",
-        "serve.batch",
+        "nn.layer.forward",  "nn.layer.backward", "sample.epoch",
+        "sample.produce",    "sample.draw",       "sample.extract",
+        "sample.train_step", "checkpoint.save",   "serve.batch",
     };
     bool required_ok = true;
     for (const char *name : required) {
