@@ -20,12 +20,13 @@ constexpr std::size_t kColGrain = 8;
 } // namespace
 
 void
-cbsrGemmTransA(const Matrix &x, const CbsrMatrix &ds, Matrix &dw)
+cbsrGemmTransA(const Matrix &x, const CbsrMatrix &ds, Matrix &dw,
+               RowSet rows)
 {
     checkInvariant(x.rows() == ds.rows(),
                    "cbsrGemmTransA: row count mismatch");
     const std::size_t in_dim = x.cols();
-    const NodeId n = ds.rows();
+    const std::size_t n = rows.size(ds.rows());
     const std::uint32_t dim_k = ds.dimK();
     dw.ensureShape(in_dim, ds.dimOrigin());
     dw.setZero();
@@ -36,7 +37,8 @@ cbsrGemmTransA(const Matrix &x, const CbsrMatrix &ds, Matrix &dw)
     // are ±0 products that leave an IEEE accumulator unchanged.
     parallelFor(0, in_dim, kColGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
-                    for (NodeId r = 0; r < n; ++r) {
+                    for (std::size_t t = 0; t < n; ++t) {
+                        const NodeId r = static_cast<NodeId>(rows[t]);
                         const Float *xr = x.row(r);
                         const Float *data = ds.dataRow(r);
                         for (std::size_t i = begin; i < end; ++i) {
@@ -52,13 +54,14 @@ cbsrGemmTransA(const Matrix &x, const CbsrMatrix &ds, Matrix &dw)
 }
 
 void
-cbsrColumnSums(const CbsrMatrix &ds, Matrix &out)
+cbsrColumnSums(const CbsrMatrix &ds, Matrix &out, RowSet rows)
 {
     out.ensureShape(1, ds.dimOrigin());
     out.setZero();
     Float *o = out.data();
     const std::uint32_t dim_k = ds.dimK();
-    for (NodeId r = 0; r < ds.rows(); ++r) {
+    for (std::size_t t = 0; t < rows.size(ds.rows()); ++t) {
+        const NodeId r = static_cast<NodeId>(rows[t]);
         const Float *data = ds.dataRow(r);
         for (std::uint32_t kk = 0; kk < dim_k; ++kk)
             o[ds.indexAt(r, kk)] += data[kk];
@@ -67,7 +70,7 @@ cbsrColumnSums(const CbsrMatrix &ds, Matrix &out)
 
 void
 cbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &wt,
-               Matrix &dx)
+               Matrix &dx, RowSet rows)
 {
     checkInvariant(ds.dimOrigin() == w.cols(),
                    "cbsrGemmTransB: col count mismatch");
@@ -75,17 +78,17 @@ cbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &wt,
     const std::uint32_t dim_k = ds.dimK();
     transpose(w, wt);
     dx.ensureShape(ds.rows(), in_dim);
-    dx.setZero();
     // Row-wise product: each of a gradient row's k values scales one
     // contiguous W^T row into dx. Per element the products fold in kk
     // order from +0, the same sum as the dot product of the row's
     // values with w.row(i)[sp_index], zeros included.
-    parallelFor(0, ds.rows(), kRowGrain,
+    parallelFor(0, rows.size(ds.rows()), kRowGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
                     for (std::size_t r = begin; r < end; ++r) {
-                        const NodeId row = static_cast<NodeId>(r);
+                        const NodeId row = static_cast<NodeId>(rows[r]);
                         const Float *data = ds.dataRow(row);
-                        Float *drow = dx.row(r);
+                        Float *drow = dx.row(row);
+                        std::fill_n(drow, in_dim, 0.0f);
                         for (std::uint32_t kk = 0; kk < dim_k; ++kk) {
                             const Float s = data[kk];
                             const Float *wtrow = wt.row(ds.indexAt(row, kk));

@@ -37,23 +37,28 @@
 #include "core/cbsr.hh"
 #include "gpusim/device.hh"
 #include "tensor/matrix.hh"
+#include "tensor/row_set.hh"
 
 namespace maxk
 {
 
 /**
- * dw = x^T * scatter(ds): x is (N x in), ds is CBSR over the out
- * dimension, dw is resized to (in x out). Row-parallel over the input
- * dimension (each worker owns whole dw rows), bitwise-deterministic at
- * any thread count.
+ * dw = x^T * scatter(ds) over the rows of `rows` (ascending, as
+ * gemmTransA): x is (N x in), ds is CBSR over the out dimension, dw is
+ * resized to (in x out). Row-parallel over the input dimension (each
+ * worker owns whole dw rows), bitwise-deterministic at any thread
+ * count.
  */
-void cbsrGemmTransA(const Matrix &x, const CbsrMatrix &ds, Matrix &dw);
+void cbsrGemmTransA(const Matrix &x, const CbsrMatrix &ds, Matrix &dw,
+                    RowSet rows = {});
 
-/** out = column sums of scatter(ds), resized to 1 x dimOrigin. */
-void cbsrColumnSums(const CbsrMatrix &ds, Matrix &out);
+/** out = column sums of the rows of `rows` of scatter(ds), resized to
+ *  1 x dimOrigin. */
+void cbsrColumnSums(const CbsrMatrix &ds, Matrix &out, RowSet rows = {});
 
 /**
- * dx = scatter(ds) * w^T: w is (in x out), dx is resized to (N x in).
+ * dx = scatter(ds) * w^T on the rows of `rows`: w is (in x out), dx is
+ * shaped (N x in) and only its listed rows are written.
  * A row-wise product (the host analogue of the paper's row-wise
  * SpGEMM): w^T is written once into the caller-owned workspace `wt`
  * (out x in, reused when its element count matches), then each of a
@@ -62,7 +67,7 @@ void cbsrColumnSums(const CbsrMatrix &ds, Matrix &out);
  * Row-parallel over N, bitwise-deterministic at any thread count.
  */
 void cbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &wt,
-                    Matrix &dx);
+                    Matrix &dx, RowSet rows = {});
 
 /**
  * Simulated latency of the full CBSR-aware linear backward (dW + db +

@@ -28,6 +28,7 @@
 #include "core/cbsr.hh"
 #include "graph/csr.hh"
 #include "tensor/matrix.hh"
+#include "tensor/row_set.hh"
 
 namespace maxk
 {
@@ -37,19 +38,27 @@ namespace maxk
  * serial edge order. `out` must already be sized (numNodes x x.cols())
  * and hold the initial values (normally zeros).
  *
+ * With row sets (tensor/row_set.hh) only the destination rows of
+ * `dests` are written, and only edges whose source is in `sources`
+ * fold: the serial scatter restricted to those sources, as long as
+ * `dests` holds every out-neighbour of every listed source. No other
+ * row of x is read.
+ *
  * @param threads explicit worker count; 0 = process default
  */
 void gatherTransposedDense(const CsrGraph &a, const Matrix &x,
-                           Matrix &out, std::uint32_t threads = 0);
+                           Matrix &out, std::uint32_t threads = 0,
+                           RowSet sources = {}, RowSet dests = {});
 
 /**
  * dxs.dataRow(j)[kk] += v_e * dxl.row(i)[dxs.indexAt(j, kk)] for every
  * edge (i, j) of `a`, folded in serial edge order — the SSpMM /
  * CBSR-backward accumulation. `dxs` carries the pattern and the initial
- * (normally zeroed) data.
+ * (normally zeroed) data. Row sets as in gatherTransposedDense.
  */
 void gatherTransposedCbsr(const CsrGraph &a, const Matrix &dxl,
-                          CbsrMatrix &dxs, std::uint32_t threads = 0);
+                          CbsrMatrix &dxs, std::uint32_t threads = 0,
+                          RowSet sources = {}, RowSet dests = {});
 
 } // namespace maxk
 

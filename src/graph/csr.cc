@@ -75,6 +75,21 @@ CsrGraph::fromCsr(NodeId num_nodes, std::vector<EdgeId> row_ptr,
     return g;
 }
 
+void
+CsrGraph::assignCsr(NodeId num_nodes, const std::vector<EdgeId> &row_ptr,
+                    const std::vector<NodeId> &col_idx)
+{
+    numNodes_ = num_nodes;
+    rowPtr_ = row_ptr;
+    colIdx_ = col_idx;
+    values_.assign(colIdx_.size(), 1.0f);
+    transposeCache_.reset();
+    egCache_.reset();
+    egCacheCap_ = 0;
+    statsCache_.reset();
+    checkInvariant(validate(), "assignCsr: invalid CSR arrays");
+}
+
 double
 CsrGraph::avgDegree() const
 {

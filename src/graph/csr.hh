@@ -62,6 +62,15 @@ class CsrGraph
                             std::vector<NodeId> col_idx,
                             std::vector<Float> values = {});
 
+    /**
+     * Refill this graph from raw CSR arrays (values set to 1), copying
+     * them into the storage the graph already holds, so a graph reused
+     * for graphs of bounded size stops allocating. The structure
+     * changes, so every cache below is dropped.
+     */
+    void assignCsr(NodeId num_nodes, const std::vector<EdgeId> &row_ptr,
+                   const std::vector<NodeId> &col_idx);
+
     NodeId numNodes() const { return numNodes_; }
     EdgeId numEdges() const
     {
@@ -115,8 +124,8 @@ class CsrGraph
      * backward paths (transpose_gather.hh) call this once per kernel
      * launch and used to rebuild A^T every time. The cache is
      * invalidated by value mutation (mutableValues(),
-     * setAggregatorWeights()); the structure of a CsrGraph is immutable
-     * after construction, so no structural invalidation exists. Copies
+     * setAggregatorWeights()) and by assignCsr(), the only way the
+     * structure of a CsrGraph changes after construction. Copies
      * share the cached object (it is immutable).
      *
      * Not internally locked: like the kernels' other pre-launch setup,
@@ -133,9 +142,9 @@ class CsrGraph
      * cap — the partition-consuming kernels (spmm_gnna, the nnz-balanced
      * and row-caching variants, SpGEMM/SSpMM launch sites going through
      * the kernel registry) share one build per (graph, cap). The
-     * partition depends only on the sparsity structure, which is
-     * immutable after construction, so no invalidation exists; a call
-     * with a different cap rebuilds and replaces the cache. Same
+     * partition depends only on the sparsity structure, so only
+     * assignCsr() invalidates it; a call with a different cap rebuilds
+     * and replaces the cache. Same
      * threading contract as transposeCached(): first call for a given
      * cap from the coordinating thread. Defined in graph/edge_groups.cc.
      */
@@ -149,8 +158,9 @@ class CsrGraph
      * Lazily built, cached degree-distribution summary — the adaptive
      * kernel selector reads these features on every launch, so the
      * O(|V| log |V|) pass must run once per graph, not once per launch.
-     * Structure-only, hence never invalidated. Same threading contract
-     * as transposeCached(). Defined in graph/stats.cc.
+     * Structure-only, hence invalidated only by assignCsr(). Same
+     * threading contract as transposeCached(). Defined in
+     * graph/stats.cc.
      */
     const DegreeStats &degreeStatsCached() const;
 

@@ -1,45 +1,60 @@
 #include "nn/dropout.hh"
 
 #include "common/logging.hh"
+#include "tensor/ops.hh"
 
 namespace maxk::nn
 {
 
 void
-Dropout::forward(const Matrix &x, Matrix &y, bool training, Rng &rng)
+Dropout::forward(const Matrix &x, Matrix &y, bool training, Rng &rng,
+                 RowSet rows)
 {
     y.ensureShape(x.rows(), x.cols());
     lastTraining_ = training && p_ > 0.0f;
     if (!lastTraining_) {
-        std::copy(x.data(), x.data() + x.size(), y.data());
+        copyRows(x, y, rows);
         return;
     }
     mask_.resize(x.size());
     const Float scale = 1.0f / (1.0f - p_);
-    const Float *px = x.data();
-    Float *py = y.data();
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        const bool keep = !rng.bernoulli(p_);
-        mask_[i] = keep ? 1 : 0;
-        py[i] = keep ? px[i] * scale : 0.0f;
+    const std::size_t n = x.cols();
+    const std::size_t listed = rows.size(x.rows());
+    std::size_t next = 0;
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        std::uint8_t *m = mask_.data() + r * n;
+        for (std::size_t c = 0; c < n; ++c)
+            m[c] = rng.bernoulli(p_) ? 0 : 1;
+        if (next == listed || rows[next] != r)
+            continue;
+        ++next;
+        const Float *px = x.row(r);
+        Float *py = y.row(r);
+        for (std::size_t c = 0; c < n; ++c)
+            py[c] = m[c] ? px[c] * scale : 0.0f;
     }
 }
 
 void
-Dropout::backward(const Matrix &dy, Matrix &dx) const
+Dropout::backward(const Matrix &dy, Matrix &dx, RowSet rows) const
 {
     dx.ensureShape(dy.rows(), dy.cols());
     if (!lastTraining_) {
-        std::copy(dy.data(), dy.data() + dy.size(), dx.data());
+        copyRows(dy, dx, rows);
         return;
     }
     checkInvariant(mask_.size() == dy.size(),
                    "Dropout::backward: no matching forward mask");
     const Float scale = 1.0f / (1.0f - p_);
-    const Float *pdy = dy.data();
-    Float *pdx = dx.data();
-    for (std::size_t i = 0; i < dy.size(); ++i)
-        pdx[i] = mask_[i] ? pdy[i] * scale : 0.0f;
+    const std::size_t n = dy.cols();
+    for (std::size_t i = 0; i < rows.size(dy.rows()); ++i) {
+        const std::size_t r = rows[i];
+        const std::uint8_t *m = mask_.data() + r * n;
+        const Float *pdy = dy.row(r);
+        Float *pdx = dx.row(r);
+        for (std::size_t c = 0; c < n; ++c)
+            pdx[c] = m[c] ? pdy[c] * scale : 0.0f;
+    }
 }
 
 } // namespace maxk::nn

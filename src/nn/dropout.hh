@@ -12,6 +12,7 @@
 
 #include "common/rng.hh"
 #include "tensor/matrix.hh"
+#include "tensor/row_set.hh"
 
 namespace maxk::nn
 {
@@ -25,13 +26,18 @@ class Dropout
     Float rate() const { return p_; }
 
     /**
-     * Forward. In training mode draws a fresh mask; in eval mode the
-     * input passes through untouched.
+     * Forward on the rows of `rows` (every row by default): only those
+     * rows of y are written and only those rows of x are read. In
+     * training mode draws a fresh mask over EVERY element, listed or
+     * not, in row-major order, so the stream and each row's mask are
+     * those of the all-rows call whatever rows are listed; in eval mode
+     * the listed rows pass through untouched.
      */
-    void forward(const Matrix &x, Matrix &y, bool training, Rng &rng);
+    void forward(const Matrix &x, Matrix &y, bool training, Rng &rng,
+                 RowSet rows = {});
 
-    /** Backward through the last forward's mask. */
-    void backward(const Matrix &dy, Matrix &dx) const;
+    /** Backward through the last forward's mask, on the rows of `rows`. */
+    void backward(const Matrix &dy, Matrix &dx, RowSet rows = {}) const;
 
   private:
     Float p_;

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "common/trace.hh"
 #include "core/maxk.hh"
 #include "core/transpose_gather.hh"
 #include "tensor/ops.hh"
@@ -69,13 +70,16 @@ aggregateDense(const CsrGraph &a, const Matrix &x, Matrix &out,
 }
 
 void
-aggregateDenseTransposed(const CsrGraph &a, const Matrix &x, Matrix &out)
+aggregateDenseTransposed(const CsrGraph &a, const Matrix &x, Matrix &out,
+                         RowSet sources, RowSet dests)
 {
     const std::size_t dim = x.cols();
     out.ensureShape(a.numNodes(), dim);
-    out.setZero();
+    for (std::size_t r = 0; r < dests.size(a.numNodes()); ++r)
+        std::fill_n(out.row(dests[r]), dim, 0.0f);
     if (resolveThreads(0) <= 1) {
-        for (NodeId i = 0; i < a.numNodes(); ++i) {
+        for (std::size_t s = 0; s < sources.size(a.numNodes()); ++s) {
+            const NodeId i = static_cast<NodeId>(sources[s]);
             const Float *xr = x.row(i);
             for (EdgeId e = a.rowPtr()[i]; e < a.rowPtr()[i + 1]; ++e) {
                 const Float v = a.values()[e];
@@ -89,7 +93,7 @@ aggregateDenseTransposed(const CsrGraph &a, const Matrix &x, Matrix &out)
 
     // Scatter-shaped: bitwise-deterministic gather over the stable
     // transpose (see core/transpose_gather.hh).
-    gatherTransposedDense(a, x, out);
+    gatherTransposedDense(a, x, out, 0, sources, dests);
 }
 
 void
@@ -118,12 +122,15 @@ aggregateCbsr(const CsrGraph &a, const CbsrMatrix &xs, Matrix &out,
 
 void
 aggregateCbsrBackward(const CsrGraph &a, const Matrix &dxl,
-                      CbsrMatrix &dxs)
+                      CbsrMatrix &dxs, RowSet sources, RowSet dests)
 {
     const std::uint32_t dim_k = dxs.dimK();
-    dxs.zeroData();
+    for (std::size_t r = 0; r < dests.size(a.numNodes()); ++r)
+        std::fill_n(dxs.dataRow(static_cast<NodeId>(dests[r])), dim_k,
+                    0.0f);
     if (resolveThreads(0) <= 1) {
-        for (NodeId i = 0; i < a.numNodes(); ++i) {
+        for (std::size_t s = 0; s < sources.size(a.numNodes()); ++s) {
+            const NodeId i = static_cast<NodeId>(sources[s]);
             const Float *g = dxl.row(i);
             for (EdgeId e = a.rowPtr()[i]; e < a.rowPtr()[i + 1]; ++e) {
                 const NodeId j = a.colIdx()[e];
@@ -138,7 +145,7 @@ aggregateCbsrBackward(const CsrGraph &a, const Matrix &dxl,
 
     // Scatter-shaped: bitwise-deterministic gather over the stable
     // transpose (see core/transpose_gather.hh).
-    gatherTransposedCbsr(a, dxl, dxs);
+    gatherTransposedCbsr(a, dxl, dxs, 0, sources, dests);
 }
 
 void
@@ -159,7 +166,7 @@ maxkCompressFast(const Matrix &x, std::uint32_t k, CbsrMatrix &out,
 
 GnnLayer::GnnLayer(const GnnLayerConfig &cfg, std::size_t in_dim,
                    std::size_t out_dim, Rng &rng, const std::string &name)
-    : cfg_(cfg),
+    : cfg_(cfg), name_(name),
       linear1_(in_dim, out_dim, rng, name + ".linear1"),
       dropout_(cfg.dropout)
 {
@@ -188,20 +195,29 @@ GnnLayer::forward(const CsrGraph &a, const Matrix &x, Matrix &out,
 }
 
 void
-GnnLayer::forwardCompute(const Matrix &x, bool training, Rng &rng)
+GnnLayer::forwardCompute(const Matrix &x, bool training, Rng &rng,
+                         RowSet compute)
 {
-    dropout_.forward(x, xDropped_, training, rng);
-    forwardCompute(xDropped_, RowSet{});
+    MAXK_TRACE_SCOPE("nn.fwd_compute", name_);
+    dropout_.forward(x, xDropped_, training, rng, compute);
+    linearAndNonlin(xDropped_, compute);
 }
 
 void
-GnnLayer::forwardCombine(const CsrGraph &a, Matrix &out)
+GnnLayer::forwardCombine(const CsrGraph &a, Matrix &out, RowSet target)
 {
-    forwardCombine(a, xDropped_, out, RowSet{});
+    forwardCombine(a, xDropped_, out, target);
 }
 
 void
 GnnLayer::forwardCompute(const Matrix &x, RowSet compute)
+{
+    MAXK_TRACE_SCOPE("nn.fwd_compute", name_);
+    linearAndNonlin(x, compute);
+}
+
+void
+GnnLayer::linearAndNonlin(const Matrix &x, RowSet compute)
 {
     linear1_.forward(x, y_, compute);
 
@@ -220,6 +236,7 @@ void
 GnnLayer::forwardCombine(const CsrGraph &a, const Matrix &x, Matrix &out,
                          RowSet target)
 {
+    MAXK_TRACE_SCOPE("nn.fwd_combine", name_);
     if (usedCbsr_) {
         aggregateCbsr(a, cbsr_, out, target);
     } else {
@@ -268,21 +285,26 @@ GnnLayer::backward(const CsrGraph &a, const Matrix &d_out, Matrix &dx)
 }
 
 void
-GnnLayer::backwardAgg(const CsrGraph &a, const Matrix &d_out)
+GnnLayer::backwardAgg(const CsrGraph &a, const Matrix &d_out,
+                      RowSet compute, RowSet target)
 {
     checkInvariant(d_out.rows() == a.numNodes(),
                    "GnnLayer::backwardAgg: gradient row count != |V|");
+    MAXK_TRACE_SCOPE("nn.bwd_agg", name_);
+    // Only the target rows of d_out can be nonzero, and the Linear
+    // backward reads the compute rows.
     if (usedCbsr_) {
         // SSpMM: sampled A^T * d_out at the forward pattern.
         dcbsr_.adoptPattern(cbsr_);
-        aggregateCbsrBackward(a, d_out, dcbsr_);
+        aggregateCbsrBackward(a, d_out, dcbsr_, target, compute);
     } else {
-        aggregateDenseTransposed(a, d_out, dh_);
+        aggregateDenseTransposed(a, d_out, dh_, target, compute);
     }
 }
 
 void
-GnnLayer::preActivationGrad(const Matrix &d_out)
+GnnLayer::preActivationGrad(const Matrix &d_out, RowSet compute,
+                            RowSet target)
 {
     const Float gin_w = 1.0f + cfg_.ginEps;
     if (usedCbsr_) {
@@ -290,14 +312,14 @@ GnnLayer::preActivationGrad(const Matrix &d_out)
             // Direct (1+eps) h path, masked by the same pattern —
             // folded into the CBSR gradient by the same row-aligned
             // gather (one writer per row, bitwise-deterministic).
-            parallelFor(0, dcbsr_.rows(), kRowGrain,
+            parallelFor(0, target.size(dcbsr_.rows()), kRowGrain,
                         [&](std::uint32_t, std::size_t begin,
                             std::size_t end) {
                             for (std::size_t r = begin; r < end; ++r) {
                                 const NodeId row =
-                                    static_cast<NodeId>(r);
+                                    static_cast<NodeId>(target[r]);
                                 Float *g = dcbsr_.dataRow(row);
-                                const Float *go = d_out.row(r);
+                                const Float *go = d_out.row(row);
                                 for (std::uint32_t kk = 0;
                                      kk < dcbsr_.dimK(); ++kk)
                                     g[kk] += gin_w *
@@ -308,43 +330,47 @@ GnnLayer::preActivationGrad(const Matrix &d_out)
         return;
     }
     if (cfg_.kind == GnnKind::Gin)
-        axpy(dh_, gin_w, d_out);
+        axpy(dh_, gin_w, d_out, target);
     if (!cfg_.lastLayer)
-        reluBackward(y_, dh_, dy_);
+        reluBackward(y_, dh_, dy_, compute);
 }
 
 void
-GnnLayer::backwardPost(const CsrGraph &a, const Matrix &d_out)
+GnnLayer::backwardPost(const CsrGraph &a, const Matrix &d_out,
+                       RowSet compute, RowSet target)
 {
     (void)a;
-    preActivationGrad(d_out);
+    MAXK_TRACE_SCOPE("nn.bwd_post", name_);
+    preActivationGrad(d_out, compute, target);
     if (usedCbsr_)
-        linear1_.backward(xDropped_, dcbsr_);
+        linear1_.backward(xDropped_, dcbsr_, compute);
     else
-        linear1_.backward(xDropped_, denseGradY());
+        linear1_.backward(xDropped_, denseGradY(), compute);
     if (cfg_.kind == GnnKind::Sage)
-        linear2_.backward(xDropped_, d_out);
+        linear2_.backward(xDropped_, d_out, target);
 }
 
 void
-GnnLayer::backwardPost(const CsrGraph &a, const Matrix &d_out, Matrix &dx)
+GnnLayer::backwardPost(const CsrGraph &a, const Matrix &d_out, Matrix &dx,
+                       RowSet compute, RowSet target)
 {
     (void)a;
-    preActivationGrad(d_out);
+    MAXK_TRACE_SCOPE("nn.bwd_post", name_);
+    preActivationGrad(d_out, compute, target);
     // MaxK's backward reuses the forward sparsity (Sec. 3.1), so the
     // gradient stays in CBSR form all the way into the linear backward —
     // no dense decompress round-trip.
     if (usedCbsr_)
-        linear1_.backward(xDropped_, dcbsr_, dxDropped_);
+        linear1_.backward(xDropped_, dcbsr_, dxDropped_, compute);
     else
-        linear1_.backward(xDropped_, denseGradY(), dxDropped_);
+        linear1_.backward(xDropped_, denseGradY(), dxDropped_, compute);
 
     if (cfg_.kind == GnnKind::Sage) {
-        linear2_.backward(xDropped_, d_out, dxSelf_);
-        addInPlace(dxDropped_, dxSelf_);
+        linear2_.backward(xDropped_, d_out, dxSelf_, target);
+        addInPlace(dxDropped_, dxSelf_, target);
     }
 
-    dropout_.backward(dxDropped_, dx);
+    dropout_.backward(dxDropped_, dx, compute);
 }
 
 void

@@ -15,20 +15,43 @@
  * The final layer of a network skips the nonlinearity (logits stay
  * dense), so both variants run one dense SpMM there.
  *
- * Row-set forward (inference only): forwardCompute and forwardCombine
- * also take a RowSet (tensor/row_set.hh), and then run Linear1 and the
- * nonlinearity only on the layer's compute rows, and the aggregation
- * plus the SAGE/GIN self term only on its target rows. Every computed
- * row folds the same products in the same order as the full-batch
- * forward (GEMM rows keep the ascending inner-index fold and the ±0
- * skip, aggregation rows keep CSR edge order, MaxK selects per row), so
- * it is bitwise the full-batch row. Rows outside the sets keep stale
- * contents and are never read: the caller guarantees that every
- * activation row a target row aggregates (its neighbours, and itself
- * for GIN) was computed or written into the activation buffers
- * between the two phases, and that the input rows Linear1 (compute
- * rows) and the SAGE self path (target rows) read are valid. The row
- * form applies no dropout and caches nothing for backward.
+ * Row sets: every phase call also takes RowSets (tensor/row_set.hh),
+ * one layer's LayerRows. Linear1 and the nonlinearity then run only on
+ * the layer's compute rows, and the aggregation plus the SAGE/GIN self
+ * term only on its target rows. Every computed row folds the same
+ * products in the same order as the full-batch forward (GEMM rows keep
+ * the ascending inner-index fold and the ±0 skip, aggregation rows keep
+ * CSR edge order, MaxK selects per row), so it is bitwise the
+ * full-batch row. Rows outside the sets keep stale contents and are
+ * never read: the caller guarantees that every activation row a target
+ * row aggregates (its neighbours, and itself for GIN) was computed or
+ * written into the activation buffers between the two phases, and that
+ * the input rows Linear1 (compute rows) and the SAGE self path (target
+ * rows) read are valid. The call with no sets is the all-rows case.
+ *
+ *  - Inference form, forwardCompute(x, compute) and
+ *    forwardCombine(a, x, out, target): reads x in place, applies no
+ *    dropout and caches nothing for backward (serving).
+ *  - Training form, forwardCompute(x, training, rng, compute) and
+ *    forwardCombine(a, out, target), then backwardAgg and backwardPost
+ *    with the same sets: target must lie inside compute (the SAGE self
+ *    path reads the dropout output). Dropout draws its stream over
+ *    every row, so each computed row's mask is the all-rows mask. The
+ *    backward reads d_out only on target rows (the only rows that can
+ *    be nonzero when the next layer's compute rows are this layer's
+ *    targets), folds the reverse aggregation only from them into the
+ *    compute rows, and runs the rest of the backward on the compute
+ *    rows (SAGE's Linear2 on the target rows); dx is written on the
+ *    compute rows. A row left out of a parameter-gradient sum is one
+ *    whose gradient the all-rows backward holds at exact ±0, so it
+ *    adds nothing, and every parameter gradient is bitwise the
+ *    all-rows one as long as the rows left out hold finite inputs
+ *    (0 * inf = NaN: a non-finite input feature outside the sets
+ *    poisons only the all-rows gradients).
+ *
+ * Each phase call opens a span (nn.fwd_compute, nn.fwd_combine,
+ * nn.bwd_agg, nn.bwd_post) whose detail is the layer's name, "layerN"
+ * in a GnnModel.
  *
  * This class is the host's functional path: one fp32 loop per
  * operation, whatever schedule the simulator models for it, so a
@@ -80,8 +103,9 @@ struct GnnLayerConfig
 };
 
 /**
- * The rows one layer of a row-set forward computes, as ascending local
- * row ids (see the file comment). Serving's planner fills one per layer.
+ * The rows one layer of a row-set forward or training step computes,
+ * as ascending local row ids (see the file comment). Serving's planner
+ * fills one per layer, and so does the minibatch extractor.
  */
 struct LayerRows
 {
@@ -131,19 +155,22 @@ class GnnLayer
      */
 
     /** Forward phase 1: dropout + Linear1 + nonlinearity (no
-     *  aggregation). Fills the activation accessible below. */
-    void forwardCompute(const Matrix &x, bool training, Rng &rng);
+     *  aggregation) on the `compute` rows. Fills the activation
+     *  accessible below and caches the dropout output for backward. */
+    void forwardCompute(const Matrix &x, bool training, Rng &rng,
+                        RowSet compute = {});
 
     /** Forward phase 2: aggregation over `a` plus the model-specific
-     *  combination (SAGE self path / GIN eps term) into `out`. */
-    void forwardCombine(const CsrGraph &a, Matrix &out);
+     *  combination (SAGE self path / GIN eps term) into the `target`
+     *  rows of `out`. */
+    void forwardCombine(const CsrGraph &a, Matrix &out, RowSet target = {});
 
-    /** Row-set phase 1 (inference, no dropout): Linear1 + nonlinearity
-     *  on the `compute` rows of the layer input x. */
+    /** Inference phase 1 (no dropout, nothing cached): Linear1 +
+     *  nonlinearity on the `compute` rows of the layer input x. */
     void forwardCompute(const Matrix &x, RowSet compute);
 
-    /** Row-set phase 2: aggregation + self term on the `target` rows of
-     *  `out`; x is the input phase 1 saw. */
+    /** Inference phase 2: aggregation + self term on the `target` rows
+     *  of `out`; x is the input phase 1 saw. */
     void forwardCombine(const CsrGraph &a, const Matrix &x, Matrix &out,
                         RowSet target);
 
@@ -158,8 +185,10 @@ class GnnLayer
     CbsrMatrix &activationCbsr() { return cbsr_; }
 
     /** Backward phase 1: reverse aggregation only (A^T * d_out, dense
-     *  or SSpMM at the forward pattern). */
-    void backwardAgg(const CsrGraph &a, const Matrix &d_out);
+     *  or SSpMM at the forward pattern), from the `target` rows of
+     *  d_out into the `compute` rows. */
+    void backwardAgg(const CsrGraph &a, const Matrix &d_out,
+                     RowSet compute = {}, RowSet target = {});
 
     /** Mutable reverse-aggregation gradients — the sharded executor
      *  ships the halo rows back to their owners (which add them into
@@ -168,13 +197,16 @@ class GnnLayer
     CbsrMatrix &gradAggCbsr() { return dcbsr_; }
 
     /** Backward phase 2: nonlinearity backward, Linear backward, self
-     *  path, dropout backward — everything after the aggregation. */
-    void backwardPost(const CsrGraph &a, const Matrix &d_out, Matrix &dx);
+     *  path, dropout backward — everything after the aggregation; dx is
+     *  written on the `compute` rows. */
+    void backwardPost(const CsrGraph &a, const Matrix &d_out, Matrix &dx,
+                      RowSet compute = {}, RowSet target = {});
 
     /** Backward phase 2 without the input gradient: only the parameter
      *  gradients, bitwise those of the overload above. For the first
      *  layer, whose dx nothing reads. */
-    void backwardPost(const CsrGraph &a, const Matrix &d_out);
+    void backwardPost(const CsrGraph &a, const Matrix &d_out,
+                      RowSet compute = {}, RowSet target = {});
 
     void collectParams(ParamRefs &out);
 
@@ -189,9 +221,13 @@ class GnnLayer
     const CbsrMatrix &lastCbsr() const { return cbsr_; }
 
   private:
+    /** Linear1 + nonlinearity on the compute rows of x. */
+    void linearAndNonlin(const Matrix &x, RowSet compute);
+
     /** Gradient w.r.t. the pre-activation: into dcbsr_ (CBSR) or
      *  denseGradY(). */
-    void preActivationGrad(const Matrix &d_out);
+    void preActivationGrad(const Matrix &d_out, RowSet compute,
+                           RowSet target);
     const Matrix &denseGradY() const
     {
         // The last layer's nonlinearity is the identity: dh_ already is
@@ -200,6 +236,7 @@ class GnnLayer
     }
 
     GnnLayerConfig cfg_;
+    std::string name_;  //!< span detail ("layerN" in a GnnModel)
     Linear linear1_;
     Linear linear2_;  //!< SAGE self path only
     Dropout dropout_;
@@ -227,9 +264,16 @@ class GnnLayer
 void aggregateDense(const CsrGraph &a, const Matrix &x, Matrix &out,
                     RowSet rows = {});
 
-/** out = A^T * x for dense x (reverse aggregation, fast path). */
+/**
+ * out = A^T * x for dense x (reverse aggregation, fast path), folding
+ * only the rows of `sources` of x into the rows of `dests` of out
+ * (every other row untouched). `dests` must hold every out-neighbour of
+ * every listed source; per destination row the sources fold in
+ * ascending order at any thread count (core/transpose_gather.hh).
+ */
 void aggregateDenseTransposed(const CsrGraph &a, const Matrix &x,
-                              Matrix &out);
+                              Matrix &out, RowSet sources = {},
+                              RowSet dests = {});
 
 /** out = A * cbsr (row-wise product SpGEMM semantics, fast path). */
 void aggregateCbsr(const CsrGraph &a, const CbsrMatrix &xs, Matrix &out,
@@ -237,10 +281,12 @@ void aggregateCbsr(const CsrGraph &a, const CbsrMatrix &xs, Matrix &out,
 
 /**
  * dxs.data = sampled A^T * dxl at dxs's pattern (SSpMM semantics, fast
- * path). dxs must already carry the forward pattern.
+ * path). dxs must already carry the forward pattern. Row sets as in
+ * aggregateDenseTransposed.
  */
 void aggregateCbsrBackward(const CsrGraph &a, const Matrix &dxl,
-                           CbsrMatrix &dxs);
+                           CbsrMatrix &dxs, RowSet sources = {},
+                           RowSet dests = {});
 
 /** MaxK + CBSR compression without device simulation (fast path):
  *  each row's selection lands directly in its CBSR row. */

@@ -31,43 +31,44 @@ Linear::forward(const Matrix &x, Matrix &y, RowSet rows) const
 }
 
 void
-Linear::backward(const Matrix &x, const Matrix &dy)
+Linear::backward(const Matrix &x, const Matrix &dy, RowSet rows)
 {
     checkInvariant(dy.cols() == weight_.value.cols(),
                    "Linear::backward: grad width mismatch");
     // dW += x^T dy (accumulated: a second backward call must add, not
     // overwrite, so multi-path layers like SAGE compose correctly).
-    gemmTransA(x, dy, dwScratch_);
+    gemmTransA(x, dy, dwScratch_, rows);
     addInPlace(weight_.grad, dwScratch_);
     // db += column sums of dy
-    columnSums(dy, colScratch_);
+    columnSums(dy, colScratch_, rows);
     addInPlace(bias_.grad, colScratch_);
 }
 
 void
-Linear::backward(const Matrix &x, const Matrix &dy, Matrix &dx)
+Linear::backward(const Matrix &x, const Matrix &dy, Matrix &dx, RowSet rows)
 {
-    backward(x, dy);
+    backward(x, dy, rows);
     // dx = dy W^T; dwScratch_ is spent, so it holds W^T (same size).
-    gemmTransB(dy, weight_.value, dwScratch_, dx);
+    gemmTransB(dy, weight_.value, dwScratch_, dx, rows);
 }
 
 void
-Linear::backward(const Matrix &x, const CbsrMatrix &dy)
+Linear::backward(const Matrix &x, const CbsrMatrix &dy, RowSet rows)
 {
     checkInvariant(dy.dimOrigin() == weight_.value.cols(),
                    "Linear::backward: CBSR grad width mismatch");
-    cbsrGemmTransA(x, dy, dwScratch_);
+    cbsrGemmTransA(x, dy, dwScratch_, rows);
     addInPlace(weight_.grad, dwScratch_);
-    cbsrColumnSums(dy, colScratch_);
+    cbsrColumnSums(dy, colScratch_, rows);
     addInPlace(bias_.grad, colScratch_);
 }
 
 void
-Linear::backward(const Matrix &x, const CbsrMatrix &dy, Matrix &dx)
+Linear::backward(const Matrix &x, const CbsrMatrix &dy, Matrix &dx,
+                 RowSet rows)
 {
-    backward(x, dy);
-    cbsrGemmTransB(dy, weight_.value, dwScratch_, dx);
+    backward(x, dy, rows);
+    cbsrGemmTransB(dy, weight_.value, dwScratch_, dx, rows);
 }
 
 void

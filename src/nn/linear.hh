@@ -41,18 +41,22 @@ class Linear
     void forward(const Matrix &x, Matrix &y, RowSet rows = {}) const;
 
     /**
-     * Backward: accumulate dW += x^T * dy, db += colsum(dy) and produce
-     * dx = dy * W^T.
+     * Backward on the rows of `rows` (every row by default): accumulate
+     * dW += x^T * dy and db += colsum(dy) over those rows, ascending,
+     * and write dx = dy * W^T on those rows only. Leaving out rows whose
+     * dy is all ±0 leaves dW and db bitwise unchanged when x is finite
+     * there (tensor/ops.hh gemmTransA).
      *
      * @param x  the input the forward pass saw
      * @param dy upstream gradient
-     * @param dx output gradient w.r.t. x (resized)
+     * @param dx output gradient w.r.t. x (shaped like x)
      */
-    void backward(const Matrix &x, const Matrix &dy, Matrix &dx);
+    void backward(const Matrix &x, const Matrix &dy, Matrix &dx,
+                  RowSet rows = {});
 
     /** Backward without dx: only dW and db, bitwise those of the
      *  overload above. */
-    void backward(const Matrix &x, const Matrix &dy);
+    void backward(const Matrix &x, const Matrix &dy, RowSet rows = {});
 
     /**
      * CBSR-aware backward: the upstream gradient stays in the CBSR form
@@ -61,10 +65,11 @@ class Linear
      * decompress(dy) — bitwise — without materialising the dense
      * gradient (core/linear_backward_cbsr.hh).
      */
-    void backward(const Matrix &x, const CbsrMatrix &dy, Matrix &dx);
+    void backward(const Matrix &x, const CbsrMatrix &dy, Matrix &dx,
+                  RowSet rows = {});
 
     /** CBSR-aware backward without dx: only dW and db. */
-    void backward(const Matrix &x, const CbsrMatrix &dy);
+    void backward(const Matrix &x, const CbsrMatrix &dy, RowSet rows = {});
 
     /** Parameters (weight then bias). */
     void collectParams(ParamRefs &out);

@@ -56,15 +56,15 @@ GnnModel::layerOutDim(std::uint32_t l) const
 const Matrix &
 GnnModel::forward(const CsrGraph &a, const Matrix &x, bool training)
 {
-    acts_.resize(layers_.size() + 1);
-    acts_[0] = x;
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-        char tag[32];
-        layerTag(tag, l);
-        MAXK_TRACE_SCOPE("nn.layer.forward", tag);
-        layers_[l].forward(a, acts_[l], acts_[l + 1], training, dropRng_);
-    }
-    return acts_.back();
+    return forwardLoop(a, x, nullptr, true, training, {});
+}
+
+const Matrix &
+GnnModel::forward(const CsrGraph &a, const Matrix &x, bool training,
+                  const std::vector<LayerRows> &rows)
+{
+    checkRows(a, rows);
+    return forwardLoop(a, x, &rows, true, training, {});
 }
 
 const Matrix &
@@ -72,10 +72,16 @@ GnnModel::forwardRows(const CsrGraph &a, const Matrix &x,
                       const std::vector<LayerRows> &rows,
                       const LayerHook &hook)
 {
+    checkRows(a, rows);
+    return forwardLoop(a, x, &rows, false, false, hook);
+}
+
+void
+GnnModel::checkRows(const CsrGraph &a,
+                    const std::vector<LayerRows> &rows) const
+{
     checkInvariant(rows.size() == layers_.size(),
-                   "GnnModel::forwardRows: one row set per layer");
-    checkInvariant(x.rows() == a.numNodes(),
-                   "GnnModel::forwardRows: feature row count != |V|");
+                   "GnnModel: one row set per layer");
     // Distinct ascending in-range rows: a repeated row would have two
     // writers in the row-parallel kernels.
     auto valid = [&](const std::vector<NodeId> &ids) {
@@ -84,20 +90,38 @@ GnnModel::forwardRows(const CsrGraph &a, const Matrix &x,
                 return false;
         return true;
     };
+    for (const LayerRows &r : rows)
+        checkInvariant(valid(r.compute) && valid(r.target),
+                       "GnnModel: row ids must be ascending, distinct "
+                       "and < |V|");
+}
+
+const Matrix &
+GnnModel::forwardLoop(const CsrGraph &a, const Matrix &x,
+                      const std::vector<LayerRows> *rows, bool cache,
+                      bool training, const LayerHook &hook)
+{
+    checkInvariant(x.rows() == a.numNodes(),
+                   "GnnModel::forward: feature row count != |V|");
     acts_.resize(layers_.size() + 1);
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-        checkInvariant(valid(rows[l].compute) && valid(rows[l].target),
-                       "GnnModel::forwardRows: row ids must be ascending, "
-                       "distinct and < |V|");
         GnnLayer &layer = layers_[l];
         const Matrix &in = l == 0 ? x : acts_[l];
+        const RowSet compute = rows ? RowSet((*rows)[l].compute) : RowSet{};
+        const RowSet target = rows ? RowSet((*rows)[l].target) : RowSet{};
         char tag[32];
         layerTag(tag, l);
         MAXK_TRACE_SCOPE("nn.layer.forward", tag);
-        layer.forwardCompute(in, rows[l].compute);
+        if (cache)
+            layer.forwardCompute(in, training, dropRng_, compute);
+        else
+            layer.forwardCompute(in, compute);
         if (hook)
             hook(static_cast<std::uint32_t>(l), layer);
-        layer.forwardCombine(a, in, acts_[l + 1], rows[l].target);
+        if (cache)
+            layer.forwardCombine(a, acts_[l + 1], target);
+        else
+            layer.forwardCombine(a, in, acts_[l + 1], target);
     }
     return acts_.back();
 }
@@ -105,19 +129,37 @@ GnnModel::forwardRows(const CsrGraph &a, const Matrix &x,
 void
 GnnModel::backward(const CsrGraph &a, const Matrix &grad_logits)
 {
+    backwardLoop(a, grad_logits, nullptr);
+}
+
+void
+GnnModel::backward(const CsrGraph &a, const Matrix &grad_logits,
+                   const std::vector<LayerRows> &rows)
+{
+    checkRows(a, rows);
+    backwardLoop(a, grad_logits, &rows);
+}
+
+void
+GnnModel::backwardLoop(const CsrGraph &a, const Matrix &grad_logits,
+                       const std::vector<LayerRows> *rows)
+{
     gradCur_ = grad_logits;
     for (std::size_t l = layers_.size(); l-- > 0;) {
+        GnnLayer &layer = layers_[l];
+        const RowSet compute = rows ? RowSet((*rows)[l].compute) : RowSet{};
+        const RowSet target = rows ? RowSet((*rows)[l].target) : RowSet{};
         char tag[32];
         layerTag(tag, l);
         MAXK_TRACE_SCOPE("nn.layer.backward", tag);
+        layer.backwardAgg(a, gradCur_, compute, target);
         if (l > 0) {
-            layers_[l].backward(a, gradCur_, gradPrev_);
+            layer.backwardPost(a, gradCur_, gradPrev_, compute, target);
             std::swap(gradCur_, gradPrev_);
-            continue;
+        } else {
+            // Nothing reads the input gradient of layer 0: weights only.
+            layer.backwardPost(a, gradCur_, compute, target);
         }
-        // Nothing reads the input gradient of layer 0: weights only.
-        layers_[0].backwardAgg(a, gradCur_);
-        layers_[0].backwardPost(a, gradCur_);
     }
 }
 

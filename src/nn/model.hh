@@ -41,11 +41,26 @@ class GnnModel
     explicit GnnModel(const ModelConfig &cfg);
 
     /**
-     * Full-batch forward. Returns the logits (N x outDim). The input and
-     * every intermediate activation are cached for backward().
+     * Full-batch forward. Returns the logits (N x outDim). Every layer's
+     * dropout output and intermediate activation is cached for
+     * backward(); `x` is read in place.
      */
     const Matrix &forward(const CsrGraph &a, const Matrix &x,
                           bool training);
+
+    /**
+     * Training form of forwardRows(): the same forward on one row set
+     * per layer (GnnLayer's training row form, gnn_layer.hh), with
+     * dropout, cached for backward(a, grad, rows). rows[l].target must
+     * lie inside rows[l].compute and hold every row of
+     * rows[l + 1].compute; the minibatch extractor builds such sets
+     * from the sampler's hop record. Only the rows of
+     * rows.back().target of the logits are written, and each is
+     * bitwise the all-rows forward's row: the dropout stream is drawn
+     * over every row, so the masks are the all-rows ones.
+     */
+    const Matrix &forward(const CsrGraph &a, const Matrix &x, bool training,
+                          const std::vector<LayerRows> &rows);
 
     /**
      * Hook invoked between a layer's forwardCompute and forwardCombine
@@ -77,6 +92,19 @@ class GnnModel
      *  Layer 0 computes no input gradient: nothing reads it. */
     void backward(const CsrGraph &a, const Matrix &grad_logits);
 
+    /**
+     * Backprop of forward(a, x, training, rows) over the same row sets:
+     * reads grad_logits only on rows.back().target, and every layer
+     * computes only its rows. When every nonzero row of grad_logits is
+     * a last-layer target, every parameter gradient is bitwise that of
+     * backward(a, grad_logits) after the all-rows forward: a row left
+     * out holds an exact ±0 gradient there and adds nothing, unless an
+     * input feature outside the sets is non-finite (0 * inf = NaN in
+     * the all-rows sums; the row-set sums stay finite).
+     */
+    void backward(const CsrGraph &a, const Matrix &grad_logits,
+                  const std::vector<LayerRows> &rows);
+
     ParamRefs params();
 
     const ModelConfig &config() const { return cfg_; }
@@ -95,10 +123,28 @@ class GnnModel
     std::size_t layerOutDim(std::uint32_t l) const;
 
   private:
+    /**
+     * The one forward loop: `rows` null is every row. A training
+     * forward (`cache`) runs each layer's dropout and caches it for
+     * backward; an inference one reads each layer input in place.
+     */
+    const Matrix &forwardLoop(const CsrGraph &a, const Matrix &x,
+                              const std::vector<LayerRows> *rows,
+                              bool cache, bool training,
+                              const LayerHook &hook);
+
+    /** The one backward loop: `rows` null is every row. */
+    void backwardLoop(const CsrGraph &a, const Matrix &grad_logits,
+                      const std::vector<LayerRows> *rows);
+
+    /** fatal unless rows holds one valid set pair per layer. */
+    void checkRows(const CsrGraph &a,
+                   const std::vector<LayerRows> &rows) const;
+
     ModelConfig cfg_;
     Rng dropRng_;
     std::vector<GnnLayer> layers_;
-    std::vector<Matrix> acts_;  //!< acts_[l] = input of layer l
+    std::vector<Matrix> acts_;  //!< acts_[l] = input of layer l > 0
 
     // Persistent backward ping-pong buffers: backward() alternates the
     // upstream/downstream gradient between these two workspaces instead

@@ -51,12 +51,32 @@ MinibatchExtractor::extract(const SampleBatch &sb, Minibatch &out)
     rowPtrStage_.resize(capacity_ + 1);
     std::copy(sb.rowPtr.begin(), sb.rowPtr.end(), rowPtrStage_.begin());
     std::fill(rowPtrStage_.begin() + nl + 1, rowPtrStage_.end(), nnz);
-    colIdxStage_ = sb.colIdx;
-    out.graph = CsrGraph::fromCsr(capacity_, std::move(rowPtrStage_),
-                                  std::move(colIdxStage_));
+    out.graph.assignCsr(capacity_, rowPtrStage_, sb.colIdx);
     out.graph.setAggregatorWeights(agg_);
-    rowPtrStage_.clear();
-    colIdxStage_.clear();
+
+    // Per-layer row sets from the hop record; every list is reserved
+    // at capacity once, so later batches never grow it.
+    checkInvariant(sb.hop.size() == nl,
+                   "MinibatchExtractor: batch without a hop record");
+    const std::uint32_t layers = sb.hops;
+    if (out.rows.size() != layers) {
+        out.rows.resize(layers);
+        for (nn::LayerRows &r : out.rows) {
+            r.compute.reserve(capacity_);
+            r.target.reserve(capacity_);
+        }
+    }
+    for (std::uint32_t l = 0; l < layers; ++l) {
+        nn::LayerRows &r = out.rows[l];
+        r.compute.clear();
+        r.target.clear();
+        for (std::size_t i = 0; i < nl; ++i) {
+            if (sb.hop[i] + l <= layers)
+                r.compute.push_back(static_cast<NodeId>(i));
+            if (sb.hop[i] + l + 1 <= layers)
+                r.target.push_back(static_cast<NodeId>(i));
+        }
+    }
 
     // Gather feature rows (disjoint destination rows: thread-layout
     // independent); zero padding rows so their dense contributions are

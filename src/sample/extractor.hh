@@ -5,14 +5,27 @@
  *
  * Gathers one SampleBatch into a self-contained training input: a
  * compact local CSR with the model's aggregator weights, plus feature /
- * label / mask rows gathered from the global training data. Every
- * minibatch is padded to the sampler's fixed node capacity with
- * isolated, zero-feature, unmasked rows, so the downstream GnnModel
- * workspaces see ONE shape for the whole run — that is what makes
- * steady-state epochs Matrix/CbsrMatrix-allocation-free (alloc_probe)
- * even though sampled subgraph sizes vary per batch. Padding rows cost
- * dense FLOPs but touch no edges, draw a deterministic amount of
- * dropout stream (shape-constant), and contribute nothing to the loss.
+ * label / mask rows gathered from the global training data, and the
+ * rows each layer of the training step computes. Every minibatch is
+ * padded to the sampler's fixed node capacity with isolated,
+ * zero-feature, unmasked rows, so the downstream GnnModel workspaces
+ * see ONE shape for the whole run — that is what makes steady-state
+ * epochs Matrix/CbsrMatrix-allocation-free (alloc_probe) even though
+ * sampled subgraph sizes vary per batch. No layer computes a padding
+ * row (it is in no row set), but the rows still draw their share of
+ * the dropout stream, which therefore stays shape-constant.
+ *
+ * Row sets: for layer l of an L-layer model (L = the sampler's hop
+ * count), `compute` is the rows first reached at hop <= L - l and
+ * `target` the rows at hop <= L - 1 - l, ascending. Layer 0 computes
+ * Linear1 on every real row and aggregates into the rows that have
+ * sampled edges; the last layer aggregates only into the seeds. These
+ * are exactly the rows a seed's logits depend on, so the row-set
+ * training step (GnnModel::forward/backward with rows) is bitwise the
+ * all-rows step on the same minibatch.
+ *
+ * A warm extract() allocates nothing: the slot's graph is refilled in
+ * place (CsrGraph::assignCsr) and its row lists keep their capacity.
  */
 
 #ifndef MAXK_SAMPLE_EXTRACTOR_HH
@@ -22,6 +35,7 @@
 #include <vector>
 
 #include "graph/csr.hh"
+#include "nn/gnn_layer.hh"
 #include "sample/sampler.hh"
 #include "tensor/matrix.hh"
 
@@ -56,6 +70,9 @@ struct Minibatch
     /** capacity x numClasses multi-label targets; only gathered when
      *  the extractor was given global targets (empty otherwise). */
     Matrix targets;
+
+    /** One row set per model layer (see the file comment). */
+    std::vector<nn::LayerRows> rows;
 };
 
 /** Gathers SampleBatch topology + global tensors into Minibatch slots. */
@@ -81,9 +98,9 @@ class MinibatchExtractor
     NodeId capacity() const { return capacity_; }
 
     /**
-     * Fill `out` from `sb`. All slot storage is reused via ensureShape /
-     * assign; at steady state (every slot warmed once) the call performs
-     * zero Matrix/CbsrMatrix heap allocations. Bitwise-deterministic at
+     * Fill `out` from `sb`. All slot storage is reused; at steady state
+     * (every slot warmed once) the call performs no heap allocation but
+     * the thread pool's (common/parallel.hh). Bitwise-deterministic at
      * any thread count (per-row disjoint gather).
      */
     void extract(const SampleBatch &sb, Minibatch &out);
@@ -95,11 +112,7 @@ class MinibatchExtractor
     const std::vector<std::uint32_t> &labels_;
     const Matrix *multiTargets_;
 
-    // CSR staging reused across batches (vectors are moved into the
-    // slot's CsrGraph, then reclaimed from scratch next call — untracked
-    // scratch, not part of the Matrix/CbsrMatrix contract).
-    std::vector<EdgeId> rowPtrStage_;
-    std::vector<NodeId> colIdxStage_;
+    std::vector<EdgeId> rowPtrStage_; //!< padded rowPtr, reused
 };
 
 } // namespace maxk::sample

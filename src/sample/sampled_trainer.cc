@@ -62,7 +62,10 @@ SampledTrainer::syncEvalParams()
 double
 SampledTrainer::trainStep(const Minibatch &mb, nn::Adam &adam)
 {
-    const Matrix &logits = model_.forward(mb.graph, mb.features, true);
+    // Each layer computes only its frontier rows (extractor.hh); the
+    // step is bitwise the all-rows step on the padded minibatch.
+    const Matrix &logits =
+        model_.forward(mb.graph, mb.features, true, mb.rows);
     // norm_count 0: normalise by the active masked count, i.e. the mean
     // over this batch's seeds (padding rows are never masked).
     const double mean_loss =
@@ -71,7 +74,7 @@ SampledTrainer::trainStep(const Minibatch &mb, nn::Adam &adam)
                                  gradWs_)
             : nn::softmaxCrossEntropyInto(logits, mb.labels, mb.trainMask,
                                           0, gradWs_, probsWs_);
-    model_.backward(mb.graph, gradWs_);
+    model_.backward(mb.graph, gradWs_, mb.rows);
     adam.step();
     return mean_loss;
 }
@@ -141,7 +144,11 @@ SampledTrainer::run(const SampledTrainConfig &cfg)
     steps.trainEpoch = [&](std::uint32_t epoch) {
         if (cfg.pipeline && !pipe)
             start_pipeline(epoch);
-        double loss_sum = 0.0;
+        // Σ_b mean_b * (n_b / N): a one-batch epoch reports its batch
+        // mean exactly, as the full-batch Trainer does ((mean * N) / N
+        // can round).
+        const double num_train = static_cast<double>(trainIds_.size());
+        double loss = 0.0;
         std::size_t seed_sum = 0;
         // Exactly nb batches belong to this epoch in either mode.
         for (std::uint32_t b = 0; b < nb; ++b) {
@@ -155,8 +162,8 @@ SampledTrainer::run(const SampledTrainConfig &cfg)
             }
             {
                 MAXK_TRACE_SCOPE("sample.train_step");
-                loss_sum += trainStep(*mb, adam) *
-                            static_cast<double>(mb->numSeeds);
+                loss += trainStep(*mb, adam) *
+                        (static_cast<double>(mb->numSeeds) / num_train);
             }
             seed_sum += mb->numSeeds;
             ++result.batchesTrained;
@@ -173,7 +180,7 @@ SampledTrainer::run(const SampledTrainConfig &cfg)
         }
         checkInvariant(seed_sum == trainIds_.size(),
                        "SampledTrainer: epoch did not visit every seed");
-        return loss_sum / static_cast<double>(seed_sum);
+        return loss;
     };
     steps.evaluate = [&](std::uint32_t) {
         MAXK_TRACE_SCOPE("sample.eval");

@@ -4,11 +4,20 @@
  * driving the existing GnnModel forward/backward on extracted
  * minibatches (ISSUE 6).
  *
+ * Each step computes, layer by layer, only the rows the next layer
+ * reads (the extractor's row sets, GnnModel::forward/backward with
+ * rows): Linear1 on the rows within L - l hops of a seed, the
+ * aggregation and self path on those within L - 1 - l. Dropout still
+ * draws over every padded row, so the loss, every gradient and every
+ * weight are bitwise those of the all-rows step on the padded batch.
+ *
  * Loss semantics: each batch contributes the mean loss over its seed
  * vertices (softmaxCrossEntropyInto / sigmoidBceInto with norm_count =
- * 0, i.e. the active masked count), and the reported epoch loss is the
- * seed-weighted mean over the epoch — identical to the mean over all
- * training vertices visited once per epoch.
+ * 0, i.e. the active masked count), and the reported epoch loss is
+ * Σ_b mean_b * (n_b / N) over the epoch's batches (n_b seeds each, N
+ * training vertices) — the mean over all training vertices visited
+ * once per epoch, and for a one-batch epoch exactly the batch mean the
+ * full-batch Trainer reports.
  *
  * Determinism contract (asserted by tests/test_pipeline.cc): the
  * pipelined run (`pipeline = true`, any queueDepth >= 1) is
@@ -18,6 +27,12 @@
  * thread in batch order; and padding to the sampler's fixed node
  * capacity makes every forward shape-constant, so stream consumption
  * cannot depend on sampled sizes either.
+ *
+ * Cross-engine anchor (tests/test_pipeline.cc): with every fanout at
+ * the maximum degree, one batch holding every training node and no
+ * dropout, the weights and epoch losses are bitwise nn::Trainer's for
+ * SAGE and GIN. GCN differs: the extractor weighs each edge by local
+ * sampled degrees, and a last-hop row has none.
  *
  * Evaluation runs full-graph on a second, identically-configured model
  * whose parameter values are copied from the training model at each

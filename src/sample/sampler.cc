@@ -40,6 +40,7 @@ NeighborSampler::NeighborSampler(const CsrGraph &g,
     }
     capacity_ = static_cast<NodeId>(
         std::min<std::uint64_t>(bound, g_.numNodes()));
+    maxDegree_ = g_.maxDegree();
 }
 
 std::uint32_t
@@ -74,7 +75,15 @@ NeighborSampler::sample(std::uint32_t epoch, std::uint32_t batch,
         stamp_.assign(n, 0);
         curStamp_ = 0;
         localOf_.resize(n);
-        expandedOf_.resize(n);
+        hopOf_.resize(n);
+    }
+    // One draw scratch per chunk, each able to hold any vertex's edge
+    // positions, so warm draws allocate nothing.
+    const std::uint32_t chunks = resolveThreads(0);
+    if (pick_.size() < chunks) {
+        pick_.resize(chunks);
+        for (std::vector<EdgeId> &p : pick_)
+            p.reserve(maxDegree_);
     }
     if (++curStamp_ == 0) { // uint32 wrap: restart the marker epoch
         stamp_.assign(n, 0);
@@ -105,6 +114,7 @@ NeighborSampler::sample(std::uint32_t epoch, std::uint32_t batch,
         if (stamp_[s] == curStamp_)
             continue;
         stamp_[s] = curStamp_;
+        hopOf_[s] = 0;
         out.seeds[unique_seeds++] = s;
         frontier_.push_back(s);
         out.nodes.push_back(s);
@@ -126,8 +136,8 @@ NeighborSampler::sample(std::uint32_t epoch, std::uint32_t batch,
         // one frontier index, so the chunk layout cannot change results.
         parallelFor(
             0, F, kDrawGrain,
-            [&](std::uint32_t, std::size_t begin, std::size_t end) {
-                std::vector<EdgeId> pick;
+            [&](std::uint32_t chunk, std::size_t begin, std::size_t end) {
+                std::vector<EdgeId> &pick = pick_[chunk];
                 for (std::size_t i = begin; i < end; ++i) {
                     const NodeId v = frontier_[i];
                     const EdgeId e0 = g_.rowPtr()[v];
@@ -135,8 +145,6 @@ NeighborSampler::sample(std::uint32_t epoch, std::uint32_t batch,
                     const std::size_t slot =
                         data_base + i * static_cast<std::size_t>(f);
                     adjStart_[exp_base + i] = static_cast<EdgeId>(slot);
-                    expandedOf_[v] =
-                        static_cast<std::uint32_t>(exp_base + i);
                     std::uint32_t cnt = 0;
                     if (f == 0) {
                         // Seed-only hop: expanded with an empty row.
@@ -180,6 +188,7 @@ NeighborSampler::sample(std::uint32_t epoch, std::uint32_t batch,
                 const NodeId u = adjData_[start + t];
                 if (stamp_[u] != curStamp_) {
                     stamp_[u] = curStamp_;
+                    hopOf_[u] = static_cast<std::uint32_t>(hop + 1);
                     nextFrontier_.push_back(u);
                 }
             }
@@ -196,8 +205,12 @@ NeighborSampler::sample(std::uint32_t epoch, std::uint32_t batch,
     std::sort(out.nodes.begin(), out.nodes.end());
     checkInvariant(out.nodes.size() <= capacity_,
                    "NeighborSampler::sample: capacity bound violated");
-    for (std::size_t r = 0; r < out.nodes.size(); ++r)
+    out.hops = static_cast<std::uint32_t>(cfg_.fanouts.size());
+    out.hop.resize(out.nodes.size());
+    for (std::size_t r = 0; r < out.nodes.size(); ++r) {
         localOf_[out.nodes[r]] = static_cast<NodeId>(r);
+        out.hop[r] = hopOf_[out.nodes[r]];
+    }
 
     const std::size_t nl = out.nodes.size();
     out.rowPtr.assign(nl + 1, 0);

@@ -14,14 +14,22 @@
  * depth, and any producer/consumer interleaving — the property the
  * pipelined trainer's bitwise-reproducibility contract rests on.
  *
- * Sampling semantics (one flattened k-hop block, not per-layer
- * bipartite blocks): seeds form hop 0; at hop h every vertex first
- * reached at hop h draws min(fanouts[h], degree) distinct out-neighbors
- * from its keyed stream; the union of reached vertices becomes the
- * minibatch node set, and each expanded vertex keeps exactly its
- * sampled edges. Vertices first reached at the last hop keep empty
- * rows (their features enter only as aggregation sources). A fanout of
- * 0 at hop 0 therefore yields a seed-only batch.
+ * Sampling semantics (one flattened k-hop block, with each row's hop
+ * recorded): seeds form hop 0; at hop h every vertex first reached at
+ * hop h draws min(fanouts[h], degree) distinct out-neighbors from its
+ * keyed stream; the union of reached vertices becomes the minibatch
+ * node set, and each expanded vertex keeps exactly its sampled edges.
+ * Vertices first reached at the last hop keep empty rows (their
+ * features enter only as aggregation sources). A fanout of 0 at hop 0
+ * therefore yields a seed-only batch.
+ *
+ * The block is not split into per-layer bipartite blocks (FGNN's
+ * blocks, SNIPPETS.md Sec. 1); instead every row carries the hop that
+ * first reached it. A row at hop h has sampled edges only into rows at
+ * hop <= h + 1, so layer l of an L-layer model needs its Linear on the
+ * rows at hop <= L - l and its aggregation on the rows at hop
+ * <= L - 1 - l: the per-layer row sets the extractor derives
+ * (extractor.hh).
  */
 
 #ifndef MAXK_SAMPLE_SAMPLER_HH
@@ -72,6 +80,13 @@ struct SampleBatch
      *  nodes[r] (empty for vertices first reached at the last hop). */
     std::vector<EdgeId> rowPtr;
     std::vector<NodeId> colIdx;
+
+    /** hop[r]: the hop that first reached nodes[r] (0 for seeds, at
+     *  most `hops`). */
+    std::vector<std::uint32_t> hop;
+
+    /** Hops sampled: the fanout count, one per model layer. */
+    std::uint32_t hops = 0;
 
     std::size_t numNodes() const { return nodes.size(); }
     std::size_t numEdges() const { return colIdx.size(); }
@@ -127,6 +142,7 @@ class NeighborSampler
     const CsrGraph &g_;
     SamplerConfig cfg_;
     NodeId capacity_ = 0;
+    EdgeId maxDegree_ = 0;
 
     // Per-call workspaces (untracked std::vector scratch; reused so the
     // steady-state sampling loop does not grow them).
@@ -138,8 +154,9 @@ class NeighborSampler
     std::vector<NodeId> adjData_;          //!< sampled edges, global ids
     std::vector<EdgeId> adjStart_;         //!< per expanded vertex
     std::vector<std::uint32_t> adjLen_;
-    std::vector<std::uint32_t> expandedOf_; //!< vertex -> expansion index
+    std::vector<std::uint32_t> hopOf_;     //!< vertex -> first hop
     std::vector<NodeId> localOf_;          //!< vertex -> local id
+    std::vector<std::vector<EdgeId>> pick_; //!< draw scratch per chunk
 };
 
 } // namespace maxk::sample

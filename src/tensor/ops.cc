@@ -101,14 +101,21 @@ rowBlockedGemm(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
                 });
 }
 
+/** Shape c as m x n (storage reused) and zero the rows of `rows`. */
+void
+shapeAndZeroRows(Matrix &c, std::size_t m, std::size_t n, RowSet rows)
+{
+    c.ensureShape(m, n);
+    for (std::size_t i = 0; i < rows.size(m); ++i)
+        std::fill_n(c.row(rows[i]), n, 0.0f);
+}
+
 } // namespace
 
 void
 gemm(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
 {
-    c.ensureShape(a.rows(), b.cols());
-    for (std::size_t i = 0; i < rows.size(c.rows()); ++i)
-        std::fill_n(c.row(rows[i]), c.cols(), 0.0f);
+    shapeAndZeroRows(c, a.rows(), b.cols(), rows);
     gemmAccum(a, b, c, rows);
 }
 
@@ -122,19 +129,19 @@ gemmAccum(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
 }
 
 void
-gemmTransA(const Matrix &a, const Matrix &b, Matrix &c)
+gemmTransA(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
 {
     checkInvariant(a.rows() == b.rows(), "gemmTransA: row count mismatch");
     c.resize(a.cols(), b.cols());
-    const std::size_t k = a.rows();
-    // Worker t owns C rows [begin, end) and sweeps every A/B row in
-    // ascending order, so each element folds its products in p order.
+    const std::size_t k = rows.size(a.rows());
+    // Worker t owns C rows [begin, end) and sweeps every listed A/B row
+    // in ascending order, so each element folds its products in p order.
     parallelFor(0, c.rows(), kColGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
                     Float *crow[kBlock];
-                    for (std::size_t p = 0; p < k; ++p) {
-                        const Float *arow = a.row(p);
-                        const Float *brow = b.row(p);
+                    for (std::size_t t = 0; t < k; ++t) {
+                        const Float *arow = a.row(rows[t]);
+                        const Float *brow = b.row(rows[t]);
                         for (std::size_t i = begin; i < end; i += kBlock) {
                             const std::size_t m = std::min(kBlock, end - i);
                             for (std::size_t r = 0; r < m; ++r)
@@ -147,13 +154,14 @@ gemmTransA(const Matrix &a, const Matrix &b, Matrix &c)
 }
 
 void
-gemmTransB(const Matrix &a, const Matrix &b, Matrix &bt, Matrix &c)
+gemmTransB(const Matrix &a, const Matrix &b, Matrix &bt, Matrix &c,
+           RowSet rows)
 {
     checkInvariant(a.cols() == b.cols(), "gemmTransB: col count mismatch");
     transpose(b, bt);
-    c.resize(a.rows(), b.rows());
+    shapeAndZeroRows(c, a.rows(), b.rows(), rows);
     // No zero skip: C(i, j) is a plain dot product, so 0 * inf = NaN.
-    rowBlockedGemm<false>(a, bt, c, RowSet{});
+    rowBlockedGemm<false>(a, bt, c, rows);
 }
 
 void
@@ -228,12 +236,12 @@ addRowVector(Matrix &dst, const Matrix &bias, RowSet rows)
 }
 
 void
-columnSums(const Matrix &in, Matrix &out)
+columnSums(const Matrix &in, Matrix &out, RowSet rows)
 {
     out.resize(1, in.cols());
     Float *o = out.data();
-    for (std::size_t i = 0; i < in.rows(); ++i) {
-        const Float *row = in.row(i);
+    for (std::size_t i = 0; i < rows.size(in.rows()); ++i) {
+        const Float *row = in.row(rows[i]);
         for (std::size_t j = 0; j < in.cols(); ++j)
             o[j] += row[j];
     }
@@ -274,16 +282,21 @@ copyRows(const Matrix &in, Matrix &out, RowSet rows)
 }
 
 void
-reluBackward(const Matrix &input, const Matrix &gradOut, Matrix &gradIn)
+reluBackward(const Matrix &input, const Matrix &gradOut, Matrix &gradIn,
+             RowSet rows)
 {
-    checkInvariant(input.size() == gradOut.size(),
+    checkInvariant(input.rows() == gradOut.rows() &&
+                       input.cols() == gradOut.cols(),
                    "reluBackward: shape mismatch");
     gradIn.ensureShape(input.rows(), input.cols());
-    const Float *pi = input.data();
-    const Float *pg = gradOut.data();
-    Float *po = gradIn.data();
-    for (std::size_t i = 0; i < input.size(); ++i)
-        po[i] = pi[i] > 0.0f ? pg[i] : 0.0f;
+    const std::size_t n = input.cols();
+    for (std::size_t i = 0; i < rows.size(input.rows()); ++i) {
+        const Float *pi = input.row(rows[i]);
+        const Float *pg = gradOut.row(rows[i]);
+        Float *po = gradIn.row(rows[i]);
+        for (std::size_t j = 0; j < n; ++j)
+            po[j] = pi[j] > 0.0f ? pg[j] : 0.0f;
+    }
 }
 
 void

@@ -45,22 +45,28 @@ void gemmAccum(const Matrix &a, const Matrix &b, Matrix &c,
                RowSet rows = {});
 
 /**
- * C = A^T * B. A: k x m, B: k x n, C resized to m x n. C(i, j) folds
- * a(p, i) * b(p, j) for p ascending from +0; a ±0 a(p, i) is skipped as
- * in gemmAccum. Parallel over C rows: every worker sweeps all k rows of
- * A and B.
+ * C = A^T * B over the rows of `rows`. A: k x m, B: k x n, C resized to
+ * m x n. C(i, j) folds a(p, i) * b(p, j) for the listed p ascending
+ * from +0; a ±0 a(p, i) is skipped as in gemmAccum. Parallel over C
+ * rows: every worker sweeps all listed rows of A and B. Leaving out a
+ * row whose B row is all ±0 leaves C bitwise unchanged as long as that
+ * row of A is finite: its terms are skipped or add ±0 to an
+ * accumulator that started at +0, which never becomes -0.
  */
-void gemmTransA(const Matrix &a, const Matrix &b, Matrix &c);
+void gemmTransA(const Matrix &a, const Matrix &b, Matrix &c,
+                RowSet rows = {});
 
 /**
- * C = A * B^T. A: m x k, B: n x k, C resized to m x n. C(i, j) folds
+ * C = A * B^T on the rows of `rows`. A: m x k, B: n x k, C shaped
+ * m x n, its listed rows zero-filled first. C(i, j) folds
  * a(i, p) * b(j, p) for p ascending from +0 with no zero skip, exactly
  * like a plain dot product: a zero a(i, p) opposite an inf in B makes
  * C(i, j) NaN. B^T is written into the caller-owned workspace `bt`
  * (resized to k x n; reused without reallocation when its element
  * count already matches), and the product runs as row updates over it.
  */
-void gemmTransB(const Matrix &a, const Matrix &b, Matrix &bt, Matrix &c);
+void gemmTransB(const Matrix &a, const Matrix &b, Matrix &bt, Matrix &c,
+                RowSet rows = {});
 
 /** out = transpose(in). */
 void transpose(const Matrix &in, Matrix &out);
@@ -80,8 +86,9 @@ void subtract(const Matrix &a, const Matrix &b, Matrix &out);
 /** Add a row vector (1 x n or length-n matrix) to every row of dst. */
 void addRowVector(Matrix &dst, const Matrix &bias, RowSet rows = {});
 
-/** Column-wise sum of in -> out (1 x n). Used for bias gradients. */
-void columnSums(const Matrix &in, Matrix &out);
+/** Column-wise sum of the rows of `rows` of in, in ascending order ->
+ *  out (1 x n). Used for bias gradients. */
+void columnSums(const Matrix &in, Matrix &out, RowSet rows = {});
 
 /** Element-wise product: dst = a ⊙ b. */
 void hadamard(const Matrix &a, const Matrix &b, Matrix &out);
@@ -93,11 +100,11 @@ void reluForward(const Matrix &in, Matrix &out, RowSet rows = {});
 void copyRows(const Matrix &in, Matrix &out, RowSet rows = {});
 
 /**
- * Element-wise ReLU backward: gradIn = gradOut where forward input was
- * positive, else 0.
+ * Element-wise ReLU backward on the rows of `rows`: gradIn = gradOut
+ * where forward input was positive, else 0.
  */
 void reluBackward(const Matrix &input, const Matrix &gradOut,
-                  Matrix &gradIn);
+                  Matrix &gradIn, RowSet rows = {});
 
 /** Row-wise softmax (numerically stabilised). */
 void rowSoftmax(const Matrix &in, Matrix &out);

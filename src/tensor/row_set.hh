@@ -17,6 +17,7 @@
 #ifndef MAXK_TENSOR_ROW_SET_HH
 #define MAXK_TENSOR_ROW_SET_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -49,6 +50,13 @@ class RowSet
     std::size_t operator[](std::size_t i) const
     {
         return all_ ? i : ids_[i];
+    }
+
+    /** Whether row r is in the set (a binary search of the list). */
+    bool contains(std::size_t r) const
+    {
+        return all_ || std::binary_search(ids_, ids_ + count_,
+                                          static_cast<NodeId>(r));
     }
 
   private:

@@ -14,10 +14,8 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -36,42 +34,10 @@
 #include "nn/gnn_layer.hh"
 #include "support/comparators.hh"
 #include "support/fixtures.hh"
+#include "support/heap_counter.hh"
 #include "support/oracles.hh"
 #include "tensor/init.hh"
 #include "tensor/ops.hh"
-
-namespace
-{
-/** Every global operator new in this test binary, on any thread. */
-std::atomic<std::uint64_t> g_heapAllocs{0};
-} // namespace
-
-// Test-only replacement of the global allocation functions, so the
-// allocation tests below see std::vector and std::function storage
-// (AllocProbe sees only Matrix/CbsrMatrix). The array and nothrow forms
-// forward here. Kept out of line: inlined, the free() inside delete
-// would pair with a call to new at the call site, which GCC reports as
-// a mismatch.
-[[gnu::noinline]] void *
-operator new(std::size_t bytes)
-{
-    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(bytes == 0 ? 1 : bytes))
-        return p;
-    throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace maxk
 {
@@ -315,16 +281,6 @@ TEST(ParallelFor, ChunksAreTheSplitRangeLayout)
     }
 }
 
-/** Heap allocations `fn` makes, counted over every thread. */
-template <class Fn>
-std::uint64_t
-heapAllocsOf(Fn &&fn)
-{
-    const std::uint64_t before = g_heapAllocs.load();
-    fn();
-    return g_heapAllocs.load() - before;
-}
-
 TEST(ParallelFor, WarmLoopsAllocateOnlyThePoolBatch)
 {
     ThreadGuard guard;
@@ -352,8 +308,8 @@ TEST(ParallelFor, WarmLoopsAllocateOnlyThePoolBatch)
         loop();
         compress(); // warm: pool workers and CBSR storage exist
         const std::uint64_t want = threads == 1 ? 0 : 1;
-        EXPECT_EQ(heapAllocsOf(loop), want) << threads << " workers";
-        EXPECT_EQ(heapAllocsOf(compress), want) << threads << " workers";
+        EXPECT_EQ(test::heapAllocsOf(loop), want) << threads;
+        EXPECT_EQ(test::heapAllocsOf(compress), want) << threads;
     }
 }
 

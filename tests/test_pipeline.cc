@@ -15,17 +15,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "graph/registry.hh"
+#include "nn/loss.hh"
 #include "nn/model.hh"
+#include "nn/optimizer.hh"
+#include "nn/trainer.hh"
 #include "sample/pipeline.hh"
 #include "sample/sampled_trainer.hh"
+#include "support/comparators.hh"
 #include "support/fixtures.hh"
 
 namespace maxk
@@ -276,6 +284,275 @@ TEST(SampledTrainer, SteadyStateEpochsAreAllocationFree)
         EXPECT_EQ(res.steadyStateAllocCount, 0u)
             << res.steadyStateAllocCount
             << " Matrix/CbsrMatrix allocations in epochs >= 2";
+    }
+}
+
+/* -------------------------------------------- row-set training step */
+
+/** (kind, nonlinearity, layers). */
+using StepParam = std::tuple<nn::GnnKind, nn::Nonlinearity, std::uint32_t>;
+
+std::string
+stepName(const ::testing::TestParamInfo<StepParam> &info)
+{
+    const auto [kind, nonlin, layers] = info.param;
+    return std::string(nn::gnnKindName(kind)) +
+           nn::nonlinearityName(nonlin) + "_" + std::to_string(layers) +
+           "layers";
+}
+
+/**
+ * The row-set training step (each layer on its frontier rows) against
+ * the padded step (GnnModel::forward/backward on every row) on the same
+ * sampled minibatches and dropout stream. Before the first step every
+ * activation, cache and workspace row the public calls reach is NaN in
+ * the row-set model, and so is every padding row of its input; later
+ * steps see the stale rows of the batch before. A single read outside
+ * the sets would reach the loss, a gradient or a weight.
+ */
+class RowSetStep : public ::testing::TestWithParam<StepParam>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const auto [kind, nonlin, layers] = GetParam();
+        task_ = miniTask("Flickr", 400);
+        Rng rng(71);
+        data_ = materializeTrainingData(task_, rng);
+        cfg_ = miniModel(task_, layers);
+        cfg_.kind = kind;
+        cfg_.nonlin = nonlin;
+        cfg_.dropout = 0.5f;
+        cfg_.ginEps = 0.25f;
+        data_.graph.setAggregatorWeights(nn::aggregatorFor(kind));
+
+        SamplerConfig scfg;
+        scfg.fanouts.assign(layers, 3);
+        scfg.batchSize = 8;
+        scfg.seed = 77;
+        sample::NeighborSampler sampler(data_.graph, scfg);
+        sample::MinibatchExtractor extractor(
+            sampler.nodeCapacity(), nn::aggregatorFor(kind),
+            data_.features, data_.labels);
+        std::vector<NodeId> ids, order, seeds;
+        for (NodeId v = 0; v < data_.graph.numNodes(); ++v)
+            if (data_.trainMask[v])
+                ids.push_back(v);
+        sampler.epochOrder(0, ids, order);
+        sample::SampleBatch sb;
+        batches_.resize(3);
+        for (std::uint32_t b = 0; b < batches_.size(); ++b) {
+            seeds.assign(order.begin() + b * scfg.batchSize,
+                         order.begin() + (b + 1) * scfg.batchSize);
+            sampler.sample(0, b, seeds, sb);
+            extractor.extract(sb, batches_[b]);
+            ASSERT_LT(batches_[b].numNodes, sampler.nodeCapacity());
+        }
+        const sample::Minibatch &mb = batches_[0];
+        ASSERT_LT(mb.rows.back().compute.size(), mb.numNodes);
+        ASSERT_EQ(mb.rows.back().target.size(), mb.numSeeds);
+    }
+
+    /** NaN in every workspace row of `model` the public calls reach:
+     *  an eval forward of all-NaN features (no dropout draw) and a
+     *  backward of an all-NaN gradient, whose parameter gradients are
+     *  then zeroed. */
+    void
+    poison(nn::GnnModel &model)
+    {
+        const sample::Minibatch &mb = batches_[0];
+        const Matrix nan_x(mb.features.rows(), mb.features.cols(), kNan);
+        const Matrix &logits = model.forward(mb.graph, nan_x, false);
+        const Matrix nan_grad(logits.rows(), logits.cols(), kNan);
+        for (nn::GnnLayer &layer : model.layers()) {
+            layer.activationDense().fill(kNan);
+            CbsrMatrix &cbsr = layer.activationCbsr();
+            for (NodeId r = 0; r < cbsr.rows(); ++r)
+                std::fill_n(cbsr.dataRow(r), cbsr.dimK(), kNan);
+        }
+        model.backward(mb.graph, nan_grad);
+        for (nn::Param *p : model.params())
+            p->resetGrad();
+    }
+
+    static constexpr Float kNan = std::numeric_limits<Float>::quiet_NaN();
+    TrainingTask task_;
+    TrainingData data_;
+    nn::ModelConfig cfg_;
+    std::vector<sample::Minibatch> batches_;
+};
+
+TEST_P(RowSetStep, LossGradientsAndWeightsAreThePaddedStepsBitForBit)
+{
+    ThreadGuard guard;
+    for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+        setDefaultThreads(threads);
+        nn::GnnModel padded(cfg_);
+        nn::GnnModel rows(cfg_);
+        nn::Adam padded_adam(padded.params(), 0.01f);
+        nn::Adam rows_adam(rows.params(), 0.01f);
+        poison(rows);
+        Matrix grad, probs, rows_grad, rows_probs;
+        for (std::size_t b = 0; b < batches_.size(); ++b) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " batch=" + std::to_string(b));
+            const sample::Minibatch &mb = batches_[b];
+            Matrix x = mb.features;
+            for (std::size_t r = mb.numNodes; r < x.rows(); ++r)
+                std::fill_n(x.row(r), x.cols(), kNan);
+
+            const double want = nn::softmaxCrossEntropyInto(
+                padded.forward(mb.graph, mb.features, true), mb.labels,
+                mb.trainMask, 0, grad, probs);
+            padded.backward(mb.graph, grad);
+            const double got = nn::softmaxCrossEntropyInto(
+                rows.forward(mb.graph, x, true, mb.rows), mb.labels,
+                mb.trainMask, 0, rows_grad, rows_probs);
+            rows.backward(mb.graph, rows_grad, mb.rows);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want))
+                << got << " vs " << want;
+
+            const nn::ParamRefs pp = padded.params();
+            const nn::ParamRefs rp = rows.params();
+            for (std::size_t i = 0; i < pp.size(); ++i)
+                EXPECT_TRUE(test::matricesBitwise(rp[i]->grad, pp[i]->grad))
+                    << pp[i]->name << " gradient";
+            padded_adam.step();
+            rows_adam.step();
+            for (std::size_t i = 0; i < pp.size(); ++i)
+                EXPECT_TRUE(
+                    test::matricesBitwise(rp[i]->value, pp[i]->value))
+                    << pp[i]->name << " after Adam::step";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsNonlinLayers, RowSetStep,
+    ::testing::Combine(::testing::Values(nn::GnnKind::Sage,
+                                         nn::GnnKind::Gcn,
+                                         nn::GnnKind::Gin),
+                       ::testing::Values(nn::Nonlinearity::Relu,
+                                         nn::Nonlinearity::MaxK),
+                       ::testing::Values(2u, 3u)),
+    stepName);
+
+/* ------------------------------------------- cross-engine anchor */
+
+/** One engine's trained state: every parameter value and the losses. */
+struct EngineState
+{
+    std::vector<Matrix> weights;
+    std::vector<double> losses;
+};
+
+EngineState
+stateOf(nn::GnnModel &model, const nn::TrainResult &res)
+{
+    EngineState s;
+    for (const nn::Param *p : model.params())
+        s.weights.push_back(p->value);
+    s.losses = res.trainLoss;
+    return s;
+}
+
+bool
+weightsBitwise(const EngineState &a, const EngineState &b)
+{
+    if (a.weights.size() != b.weights.size())
+        return false;
+    for (std::size_t i = 0; i < a.weights.size(); ++i)
+        if (!test::matricesBitwise(a.weights[i], b.weights[i]))
+            return false;
+    return true;
+}
+
+/**
+ * Full-fanout sampled training is full-batch training. With every
+ * fanout at the maximum degree, one batch holding every training node
+ * and no dropout, a SampledTrainer epoch aggregates the same neighbour
+ * sets in the same ascending-id order and takes one Adam step, exactly
+ * like a Trainer epoch; every row the full graph adds outside the
+ * sampled block only folds exact zeros into the gradients. So after
+ * each epoch the weights and the epoch loss are bit for bit the
+ * Trainer's, at any worker count, pipelined or synchronous.
+ *
+ * GCN differs, and legitimately: the extractor normalises each edge
+ * by the local sampled degrees, and a last-hop row has no edges in the
+ * block, so its edges into the hop before weigh 1/sqrt(d_i * 0 + ...)
+ * against the full graph's 1/sqrt(d_i * d_j). The test pins that the
+ * 2-layer GCN weights differ.
+ */
+TEST(SampledTrainer, FullFanoutOneBatchEqualsFullBatchTraining)
+{
+    ThreadGuard guard;
+    const TrainingTask task = miniTask("Flickr", 320);
+    Rng rng(61);
+    const TrainingData data = materializeTrainingData(task, rng);
+    const auto num_train = static_cast<std::uint32_t>(
+        std::count(data.trainMask.begin(), data.trainMask.end(), 1));
+    ASSERT_GT(num_train, 0u);
+
+    for (const nn::GnnKind kind :
+         {nn::GnnKind::Sage, nn::GnnKind::Gin, nn::GnnKind::Gcn})
+    for (const nn::Nonlinearity nonlin :
+         {nn::Nonlinearity::Relu, nn::Nonlinearity::MaxK})
+    for (const std::uint32_t layers : {2u, 3u})
+    for (const std::uint32_t threads : {1u, 4u}) {
+        setDefaultThreads(threads);
+        nn::ModelConfig cfg = miniModel(task, layers);
+        cfg.kind = kind;
+        cfg.nonlin = nonlin;
+        cfg.dropout = 0.0f;
+        SamplerConfig scfg;
+        scfg.fanouts.assign(layers,
+                            static_cast<std::uint32_t>(
+                                data.graph.maxDegree()));
+        scfg.batchSize = num_train;
+        for (const std::uint32_t epochs : {1u, 2u, 3u}) {
+            const std::string where =
+                std::string(nn::gnnKindName(kind)) + "/" +
+                nn::nonlinearityName(nonlin) + " layers=" +
+                std::to_string(layers) + " threads=" +
+                std::to_string(threads) + " epochs=" +
+                std::to_string(epochs);
+            nn::TrainConfig tc;
+            tc.epochs = epochs;
+            tc.evalEvery = epochs;
+            TrainingData full_data = data;
+            nn::GnnModel full_model(cfg);
+            nn::Trainer full(full_model, full_data, task);
+            const EngineState want = stateOf(full_model, full.run(tc));
+
+            for (const bool pipeline : {true, false}) {
+                SCOPED_TRACE(where + (pipeline ? " pipelined" : " sync"));
+                TrainingData sampled_data = data;
+                nn::GnnModel model(cfg);
+                SampledTrainer trainer(model, sampled_data, task, scfg);
+                SampledTrainConfig sc;
+                static_cast<nn::TrainConfig &>(sc) = tc;
+                sc.pipeline = pipeline;
+                const SampledTrainResult res = trainer.run(sc);
+                ASSERT_EQ(res.batchesTrained, epochs);
+                const EngineState got = stateOf(model, res);
+                if (kind == nn::GnnKind::Gcn) {
+                    // Last-hop normalisation (see above).
+                    if (layers == 2) {
+                        EXPECT_FALSE(weightsBitwise(got, want));
+                    }
+                    continue;
+                }
+                EXPECT_TRUE(weightsBitwise(got, want));
+                ASSERT_EQ(got.losses.size(), want.losses.size());
+                for (std::size_t e = 0; e < want.losses.size(); ++e)
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.losses[e]),
+                              std::bit_cast<std::uint64_t>(want.losses[e]))
+                        << "epoch " << e << ": " << got.losses[e]
+                        << " vs " << want.losses[e];
+            }
+        }
     }
 }
 

@@ -29,6 +29,7 @@
 #include "sample/extractor.hh"
 #include "sample/sampler.hh"
 #include "support/fixtures.hh"
+#include "support/heap_counter.hh"
 #include "tensor/init.hh"
 
 namespace maxk
@@ -550,6 +551,121 @@ TEST(MinibatchExtractor, SaturatedBallEqualsExtractSubgraphOracle)
         ASSERT_EQ(oracle.rowPtr()[r], b.rowPtr[r]);
     for (std::size_t e = 0; e < b.numEdges(); ++e)
         ASSERT_EQ(oracle.colIdx()[e], b.colIdx[e]);
+}
+
+TEST(MinibatchExtractor, RowSetsFollowTheHopRecord)
+{
+    // hop[r] is the BFS distance of row r from the seeds over the
+    // sampled block, every row at the last hop is unexpanded, and layer
+    // l computes the rows at hop <= L - l and aggregates into those at
+    // hop <= L - 1 - l, so each layer's targets are the next layer's
+    // compute rows and the last layer's targets are the seeds.
+    const CsrGraph g =
+        test::makeGraph(test::GraphShape::PowerLaw, 400, 3200, 29);
+    Matrix feats(g.numNodes(), 4);
+    const std::vector<std::uint32_t> labels(g.numNodes(), 0);
+    for (const std::uint32_t layers : {1u, 2u, 3u}) {
+        SCOPED_TRACE("layers=" + std::to_string(layers));
+        SamplerConfig cfg;
+        cfg.fanouts.assign(layers, 3);
+        cfg.batchSize = 8;
+        NeighborSampler s(g, cfg);
+        MinibatchExtractor ex(s.nodeCapacity(), Aggregator::SageMean,
+                              feats, labels);
+        SampleBatch b;
+        sample::Minibatch mb;
+        for (std::uint32_t batch = 0; batch < 3; ++batch) {
+            s.sample(0, batch, firstSeeds(s, batch, allNodes(g), 8), b);
+            ex.extract(b, mb);
+            ASSERT_EQ(b.hops, layers);
+            ASSERT_EQ(b.hop.size(), b.numNodes());
+
+            std::vector<std::uint32_t> dist(b.numNodes(), ~0u);
+            std::vector<NodeId> queue;
+            for (NodeId r = 0; r < b.numNodes(); ++r)
+                if (std::binary_search(b.seeds.begin(), b.seeds.end(),
+                                       b.nodes[r])) {
+                    dist[r] = 0;
+                    queue.push_back(r);
+                }
+            for (std::size_t q = 0; q < queue.size(); ++q)
+                for (EdgeId e = b.rowPtr[queue[q]];
+                     e < b.rowPtr[queue[q] + 1]; ++e)
+                    if (dist[b.colIdx[e]] == ~0u) {
+                        dist[b.colIdx[e]] = dist[queue[q]] + 1;
+                        queue.push_back(b.colIdx[e]);
+                    }
+            EXPECT_EQ(b.hop, dist);
+            for (NodeId r = 0; r < b.numNodes(); ++r) {
+                if (b.hop[r] == layers) {
+                    EXPECT_EQ(b.rowPtr[r + 1], b.rowPtr[r]) << r;
+                }
+            }
+
+            ASSERT_EQ(mb.rows.size(), layers);
+            for (std::uint32_t l = 0; l < layers; ++l) {
+                std::vector<NodeId> compute, target;
+                for (NodeId r = 0; r < b.numNodes(); ++r) {
+                    if (b.hop[r] <= layers - l)
+                        compute.push_back(r);
+                    if (b.hop[r] + 1 <= layers - l)
+                        target.push_back(r);
+                }
+                EXPECT_EQ(mb.rows[l].compute, compute) << l;
+                EXPECT_EQ(mb.rows[l].target, target) << l;
+                if (l + 1 < layers) {
+                    EXPECT_EQ(mb.rows[l].target, mb.rows[l + 1].compute);
+                }
+            }
+            ASSERT_EQ(mb.rows.back().target.size(), mb.numSeeds);
+            for (const NodeId r : mb.rows.back().target)
+                EXPECT_EQ(mb.trainMask[r], 1) << r;
+        }
+    }
+}
+
+TEST(MinibatchExtractor, WarmSampleAndExtractAllocateOnlyThePoolBatch)
+{
+    // A warm sample() + extract() pair makes no heap allocation at one
+    // worker; at four, exactly one per multi-chunk parallelFor (the
+    // pool's Batch, ParallelFor.WarmLoopsAllocateOnlyThePoolBatch):
+    // the draw loop of every hop whose frontier spans several chunks,
+    // and the feature gather.
+    ThreadGuard guard;
+    const CsrGraph g =
+        test::makeGraph(test::GraphShape::PowerLaw, 4000, 40000, 31);
+    Rng rng(37);
+    Matrix feats(g.numNodes(), 16);
+    fillNormal(feats, rng, 0.0f, 1.0f);
+    const std::vector<std::uint32_t> labels(g.numNodes(), 1);
+    SamplerConfig cfg;
+    cfg.fanouts = {5, 5};
+    cfg.batchSize = 256;
+    NeighborSampler s(g, cfg);
+    MinibatchExtractor ex(s.nodeCapacity(), Aggregator::SageMean, feats,
+                          labels);
+    SampleBatch b;
+    sample::Minibatch mb;
+    const std::vector<NodeId> seeds = firstSeeds(s, 0, allNodes(g), 256);
+    const auto pair = [&] {
+        s.sample(0, 0, seeds, b);
+        ex.extract(b, mb);
+    };
+    for (const std::uint32_t threads : {1u, 4u}) {
+        setDefaultThreads(threads);
+        pair(); // warm: pool workers, scratch and slot storage exist
+        std::uint64_t want = 0;
+        if (threads > 1) {
+            for (std::uint32_t h = 0; h < b.hops; ++h) {
+                const auto frontier = static_cast<std::size_t>(
+                    std::count(b.hop.begin(), b.hop.end(), h));
+                want += chunkCount(0, frontier, 64, threads) > 1 ? 1 : 0;
+            }
+            want += chunkCount(0, s.nodeCapacity(), 128, threads) > 1;
+            ASSERT_EQ(want, 3u); // every loop spans several chunks
+        }
+        EXPECT_EQ(test::heapAllocsOf(pair), want) << threads << " workers";
+    }
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 
     python3 tools/hostbench_pairs.py --workload W --pairs N [--seed S]
         [--seconds S] [--base REF] [--workdir DIR]
+    python3 tools/hostbench_pairs.py --diff A B
     python3 tools/hostbench_pairs.py --selftest
 
 The base side is REF (default HEAD), exported with `git archive` into
@@ -26,10 +27,18 @@ base median by more than the base's interquartile range. Every run's
 `correct`/`attempted`/`failed` is printed too. Exit status: 0 when
 every run passed its output checks, 1 otherwise, 2 on a usage or build
 error.
+
+--diff compares two result lines, each the last line of a file holding
+`run.py` output (with `--trace 1`, every per-layer metric): for each
+metric on both sides it prints A, B, the ratio B/A and the metric's
+`better` direction from BENCHMARK.json, largest |log(B/A)| first, and
+then the metrics present on one side only. Exit status 0, or 2 when a
+file holds no result line.
 """
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -85,6 +94,61 @@ def render(stats):
              "yes" if stats["gain"] else "no"))
 
 
+def log_gap(a, b):
+    """|log(b / a)|: 0 for equal values, inf across zero or a sign."""
+    if a == b:
+        return 0.0
+    if a == 0 or b == 0 or (a < 0) != (b < 0):
+        return math.inf
+    return abs(math.log(b / a))
+
+
+def diff_lines(a, b, better):
+    """Per-metric rows (name, A, B, B/A, better) of two result lines,
+    largest |log ratio| first, then the names only A and only B hold."""
+    va = {k: v["value"] for k, v in a["metrics"].items()}
+    vb = {k: v["value"] for k, v in b["metrics"].items()}
+    both = sorted(set(va) & set(vb),
+                  key=lambda n: (-log_gap(va[n], vb[n]), n))
+    rows = [(n, va[n], vb[n],
+             vb[n] / va[n] if va[n] != 0 else
+             (1.0 if vb[n] == 0 else math.inf),
+             better.get(n, "?")) for n in both]
+    return rows, sorted(set(va) - set(vb)), sorted(set(vb) - set(va))
+
+
+def read_result(path):
+    """The result line of a run.py output file: its last nonempty line."""
+    with open(path) as f:
+        lines = [line for line in f.read().splitlines() if line.strip()]
+    try:
+        return json.loads(lines[-1]) if lines else None
+    except ValueError:
+        return None
+
+
+def diff(path_a, path_b):
+    a, b = read_result(path_a), read_result(path_b)
+    if a is None or b is None:
+        print("hostbench_pairs: no result line in %s" %
+              (path_a if a is None else path_b), file=sys.stderr)
+        return 2
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    better = {m["name"]: m["better"]
+              for m in bench["end_to_end"] + bench["per_layer"]}
+    rows, only_a, only_b = diff_lines(a, b, better)
+    print("%-34s %12s %12s %8s  %s" % ("metric", "A", "B", "B/A",
+                                        "better"))
+    for name, va, vb, ratio, direction in rows:
+        print("%-34s %12.6g %12.6g %8.3f  %s" %
+              (name, va, vb, ratio, direction))
+    for side, names in (("A", only_a), ("B", only_b)):
+        if names:
+            print("only in %s: %s" % (side, " ".join(names)))
+    return 0
+
+
 def selftest():
     metric = {"name": "unit_ms", "better": "lower", "bound": 0.25}
     assert quantile([4, 1, 3, 2], 0.5) == 2.5
@@ -109,6 +173,20 @@ def selftest():
     assert s["wins"] == 0 and s["regressed"] and not s["gain"], s
     s = summarize(up, [100.0, 101.0, 99.0, 100.0], [130.0] * 4)
     assert s["wins"] == 4 and s["gain"] and not s["regressed"], s
+    # --diff: largest |log ratio| first (a halving outranks a 1.5x
+    # rise), a move across zero first of all, equal values last, and
+    # the metrics of one side listed apart.
+    line = lambda **kv: {"metrics": {k: {"value": v} for k, v in kv.items()}}
+    rows, only_a, only_b = diff_lines(
+        line(unit_ms=10.0, rate=2.0, same=3.0, gone=1.0, zero=0.0),
+        line(unit_ms=5.0, rate=3.0, same=3.0, new=4.0, zero=1.0),
+        {"unit_ms": "lower", "rate": "higher"})
+    assert [r[0] for r in rows] == ["zero", "unit_ms", "rate", "same"], rows
+    assert rows[0][3] == math.inf and rows[1][3] == 0.5, rows
+    assert rows[2][4] == "higher" and rows[3][3] == 1.0, rows
+    assert rows[3][4] == "?", rows
+    assert only_a == ["gone"] and only_b == ["new"], (only_a, only_b)
+    assert log_gap(0.0, 0.0) == 0.0 and log_gap(-1.0, 1.0) == math.inf
     print("hostbench_pairs selftest: ok")
     return 0
 
@@ -163,10 +241,13 @@ def main():
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--base", default="HEAD")
     ap.add_argument("--workdir")
+    ap.add_argument("--diff", nargs=2, metavar=("A", "B"))
     ap.add_argument("--selftest", action="store_true")
     args = ap.parse_args()
     if args.selftest:
         return selftest()
+    if args.diff:
+        return diff(*args.diff)
     if not args.workload or not args.pairs or args.pairs < 1:
         ap.error("--workload and --pairs >= 1 are required")
 

@@ -514,7 +514,9 @@ main(int argc, char **argv)
     const char *required[] = {
         "dist.epoch",        "dist.forward",      "dist.backward",
         "comm.allToAllv",    "comm.barrier",      "comm.allReduce",
-        "nn.layer.forward",  "nn.layer.backward", "sample.epoch",
+        "nn.layer.forward",  "nn.layer.backward", "nn.fwd_compute",
+        "nn.fwd_combine",    "nn.bwd_agg",        "nn.bwd_post",
+        "sample.epoch",
         "sample.produce",    "sample.draw",       "sample.extract",
         "sample.train_step", "checkpoint.save",   "serve.batch",
     };
