@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench_common.hh"
 #include "common/table.hh"
 #include "graph/formats/checkpoint.hh"
@@ -94,8 +96,11 @@ main(int argc, char **argv)
     traj.testMetric = {0.29, 0.41};
     traj.evalEpochs = {0, 2};
 
+    // One directory per process: ctest -j runs this binary as the smoke
+    // entry and under perf_gate_checkpoint at the same time.
     const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "maxk-bench-ckpt";
+        std::filesystem::temp_directory_path() /
+        ("maxk-bench-ckpt-" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
     const formats::CheckpointStore store(dir.string(), "bench", 4);
 

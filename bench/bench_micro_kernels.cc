@@ -9,8 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "core/linear_backward_cbsr.hh"
 #include "core/maxk.hh"
 #include "gpusim/cache.hh"
 #include "graph/edge_groups.hh"
@@ -209,6 +213,18 @@ BENCHMARK(BM_AggregateCbsrBackwardThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseR
 constexpr std::size_t kGemmRows = 4096;
 constexpr std::size_t kGemmDim = 256;
 
+/** Zero about half of m's entries, as dropout 0.5 zeroes a layer input
+ *  and ReLU about half of its gradient. */
+void
+zeroHalf(Matrix &m, Rng &rng)
+{
+    Float *p = m.data();
+    for (std::size_t i = 0; i < m.size(); ++i)
+        if (rng.bernoulli(0.5f))
+            p[i] = 0.0f;
+}
+
+// Args = {workers, zero}: zero = 1 zeroes half of x first.
 void
 BM_GemmThreads(benchmark::State &state)
 {
@@ -217,6 +233,8 @@ BM_GemmThreads(benchmark::State &state)
     Matrix x(kGemmRows, kGemmDim), w(kGemmDim, kGemmDim);
     fillNormal(x, rng, 0.0f, 1.0f);
     fillNormal(w, rng, 0.0f, 0.1f);
+    if (state.range(1) != 0)
+        zeroHalf(x, rng);
     Matrix y;
     for (auto _ : state) {
         gemm(x, w, y);
@@ -227,7 +245,109 @@ BM_GemmThreads(benchmark::State &state)
                             kGemmDim);
     setDefaultThreads(0);
 }
-BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_GemmThreads)
+    ->ArgsProduct({{1, 2, 4}, {0, 1}})
+    ->UseRealTime();
+
+/**
+ * Every Linear GEMM entry at one worker on the layer shapes the host
+ * benchmark trains, N x in -> out: full-reddit-maxk's three SAGE layers
+ * and sampled-flickr-relu's two frontier layers (~1,387 and ~344 rows).
+ * Each entry gets its training operands: x (N x in) feeds gemm,
+ * gemmTransA and cbsrGemmTransA, dy (N x out) gemmTransB, and its
+ * MaxK k = 32 CBSR form the CBSR entries (out = 256 only). The
+ * "zero50" operands have about half of x and dy zeroed, as dropout 0.5
+ * and ReLU leave them; gemmTransB and cbsrGemmTransB fold every term,
+ * so only the others can gain from it. Items are multiply-adds of the
+ * dense product.
+ */
+struct LinearShape
+{
+    std::size_t n, in, out;
+};
+
+constexpr LinearShape kLinearShapes[] = {
+    {4096, 64, 256}, {4096, 256, 256}, {4096, 256, 41},
+    {1387, 64, 64},  {344, 64, 7},
+};
+
+enum class LinearGemm
+{
+    Gemm,
+    GemmTransA,
+    GemmTransB,
+    CbsrGemmTransA,
+    CbsrGemmTransB,
+};
+
+void
+BM_LinearGemm(benchmark::State &state, LinearGemm entry, LinearShape s,
+              bool zero)
+{
+    setDefaultThreads(1);
+    Rng rng(14);
+    Matrix x(s.n, s.in), w(s.in, s.out), dy(s.n, s.out);
+    fillNormal(x, rng, 0.0f, 1.0f);
+    fillNormal(w, rng, 0.0f, 0.1f);
+    fillNormal(dy, rng, 0.0f, 1.0f);
+    if (zero) {
+        zeroHalf(x, rng);
+        zeroHalf(dy, rng);
+    }
+    const bool cbsr = entry == LinearGemm::CbsrGemmTransA ||
+                      entry == LinearGemm::CbsrGemmTransB;
+    CbsrMatrix dys;
+    if (cbsr)
+        nn::maxkCompressFast(dy, 32, dys);
+    Matrix out, workspace;
+    for (auto _ : state) {
+        switch (entry) {
+          case LinearGemm::Gemm: gemm(x, w, out); break;
+          case LinearGemm::GemmTransA: gemmTransA(x, dy, out); break;
+          case LinearGemm::GemmTransB:
+            gemmTransB(dy, w, workspace, out);
+            break;
+          case LinearGemm::CbsrGemmTransA: cbsrGemmTransA(x, dys, out); break;
+          case LinearGemm::CbsrGemmTransB:
+            cbsrGemmTransB(dys, w, workspace, out);
+            break;
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * s.n * s.in *
+                            (cbsr ? 32 : s.out));
+    setDefaultThreads(0);
+}
+
+[[maybe_unused]] const bool kLinearGemmsRegistered = [] {
+    const std::pair<LinearGemm, const char *> entries[] = {
+        {LinearGemm::Gemm, "gemm"},
+        {LinearGemm::GemmTransA, "gemmTransA"},
+        {LinearGemm::GemmTransB, "gemmTransB"},
+        {LinearGemm::CbsrGemmTransA, "cbsrGemmTransA"},
+        {LinearGemm::CbsrGemmTransB, "cbsrGemmTransB"},
+    };
+    for (const auto &[entry, name] : entries)
+        for (const LinearShape &s : kLinearShapes) {
+            const bool cbsr = entry == LinearGemm::CbsrGemmTransA ||
+                              entry == LinearGemm::CbsrGemmTransB;
+            if (cbsr && s.out != 256)
+                continue;
+            for (const bool zero : {false, true}) {
+                const std::string label =
+                    std::string("BM_LinearGemm/") + name + "/" +
+                    std::to_string(s.n) + "x" + std::to_string(s.in) +
+                    "->" + std::to_string(s.out) +
+                    (zero ? "/zero50" : "/dense");
+                benchmark::RegisterBenchmark(label.c_str(), BM_LinearGemm,
+                                             entry, s, zero)
+                    ->Unit(benchmark::kMillisecond)
+                    ->UseRealTime();
+            }
+        }
+    return true;
+}();
 
 // Args = {workers, k}: k = 0 runs the dense backward (gemmTransA +
 // gemmTransB), k > 0 the CBSR one on a MaxK-k gradient.

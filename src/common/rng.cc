@@ -1,5 +1,6 @@
 #include "common/rng.hh"
 
+#include <algorithm>
 #include <cmath>
 
 namespace maxk
@@ -31,19 +32,25 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
+Rng::advance(std::uint64_t s[4])
 {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
 
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
 
     return result;
+}
+
+std::uint64_t
+Rng::next()
+{
+    return advance(s_);
 }
 
 std::uint64_t
@@ -89,6 +96,24 @@ bool
 Rng::bernoulli(Float p)
 {
     return uniform() < p;
+}
+
+void
+Rng::keepMask(Float p, std::uint8_t *mask, std::size_t n)
+{
+    // uniform() < p is m * 2^-24 < p for the 24-bit draw m (both sides
+    // exact), i.e. m < ceil(p * 2^24); a NaN p, like p <= 0, drops
+    // nothing.
+    const double scaled = static_cast<double>(p) * 16777216.0;
+    const std::uint64_t drop =
+        scaled > 0.0 ? static_cast<std::uint64_t>(
+                           std::ceil(std::min(scaled, 16777216.0)))
+                     : 0;
+    std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+    for (std::size_t i = 0; i < n; ++i)
+        mask[i] = static_cast<std::uint8_t>((advance(s) >> 40) >= drop);
+    for (int i = 0; i < 4; ++i)
+        s_[i] = s[i];
 }
 
 Rng

@@ -12,6 +12,7 @@
 #ifndef MAXK_COMMON_RNG_HH
 #define MAXK_COMMON_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -51,6 +52,14 @@ class Rng
     bool bernoulli(Float p);
 
     /**
+     * mask[i] = !bernoulli(p) for i < n, drawn in order: the values and
+     * the final state of n bernoulli(p) calls. The generator state stays
+     * in registers for the loop, and each trial is the exact integer
+     * form of uniform() < p, so a mask costs no branch per element.
+     */
+    void keepMask(Float p, std::uint8_t *mask, std::size_t n);
+
+    /**
      * Fork a child generator whose stream is independent of (and stable
      * with respect to) the parent. Used to give each module its own stream
      * so adding draws in one place does not perturb another.
@@ -79,6 +88,8 @@ class Rng
     std::uint64_t s_[4];
 
     static std::uint64_t splitmix64(std::uint64_t &state);
+    /** One xoshiro256** step on the state words s: returns the draw. */
+    static std::uint64_t advance(std::uint64_t s[4]);
 };
 
 /**

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "tensor/fold.hh"
 #include "tensor/ops.hh"
 
 namespace maxk
@@ -17,6 +18,8 @@ constexpr std::size_t kRowGrain = 16;
  *  short (out_dim floats), so a finer grain keeps 8 workers busy even
  *  on 64-wide layers. */
 constexpr std::size_t kColGrain = 8;
+/** dw rows one compaction covers. */
+constexpr std::size_t kColBlock = 64;
 } // namespace
 
 void
@@ -34,20 +37,31 @@ cbsrGemmTransA(const Matrix &x, const CbsrMatrix &ds, Matrix &dw,
     // [begin, end), so per (i, col) the contributions fold in ascending
     // adjacency-row order exactly like the serial sweep — and exactly
     // like gemmTransA over the decompressed gradient, whose extra terms
-    // are ±0 products that leave an IEEE accumulator unchanged.
+    // are ±0 products that leave an IEEE accumulator unchanged. Each
+    // row's nonzero x entries are compacted first (the write index
+    // advances by av != 0), so a zero costs no branch.
     parallelFor(0, in_dim, kColGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
+                    std::uint32_t live[kColBlock];
                     for (std::size_t t = 0; t < n; ++t) {
                         const NodeId r = static_cast<NodeId>(rows[t]);
                         const Float *xr = x.row(r);
                         const Float *data = ds.dataRow(r);
-                        for (std::size_t i = begin; i < end; ++i) {
-                            const Float av = xr[i];
-                            if (av == 0.0f)
-                                continue;
-                            Float *drow = dw.row(i);
-                            for (std::uint32_t kk = 0; kk < dim_k; ++kk)
-                                drow[ds.indexAt(r, kk)] += av * data[kk];
+                        for (std::size_t i0 = begin; i0 < end;
+                             i0 += kColBlock) {
+                            const std::size_t i1 =
+                                std::min(end, i0 + kColBlock);
+                            std::size_t count = 0;
+                            for (std::size_t i = i0; i < i1; ++i) {
+                                live[count] = static_cast<std::uint32_t>(i);
+                                count += xr[i] != 0.0f;
+                            }
+                            for (std::size_t c = 0; c < count; ++c) {
+                                const Float av = xr[live[c]];
+                                Float *drow = dw.row(live[c]);
+                                for (std::uint32_t kk = 0; kk < dim_k; ++kk)
+                                    drow[ds.indexAt(r, kk)] += av * data[kk];
+                            }
                         }
                     }
                 });
@@ -78,22 +92,35 @@ cbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &wt,
     const std::uint32_t dim_k = ds.dimK();
     transpose(w, wt);
     dx.ensureShape(ds.rows(), in_dim);
-    // Row-wise product: each of a gradient row's k values scales one
-    // contiguous W^T row into dx. Per element the products fold in kk
-    // order from +0, the same sum as the dot product of the row's
+    // Row-wise product: a gradient row's CBSR entries are its term list
+    // (each of the k values scales one contiguous W^T row), folded by
+    // the GEMMs' register-panel fold. Per element the products fold in
+    // kk order from +0, the same sum as the dot product of the row's
     // values with w.row(i)[sp_index], zeros included.
     parallelFor(0, rows.size(ds.rows()), kRowGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t r = begin; r < end; ++r) {
-                        const NodeId row = static_cast<NodeId>(rows[r]);
-                        const Float *data = ds.dataRow(row);
-                        Float *drow = dx.row(row);
-                        std::fill_n(drow, in_dim, 0.0f);
-                        for (std::uint32_t kk = 0; kk < dim_k; ++kk) {
-                            const Float s = data[kk];
-                            const Float *wtrow = wt.row(ds.indexAt(row, kk));
-                            for (std::size_t i = 0; i < in_dim; ++i)
-                                drow[i] += s * wtrow[i];
+                    FoldBlock blk;
+                    for (std::size_t i = begin; i < end;
+                         i += FoldBlock::kRows) {
+                        blk.rows = std::min(FoldBlock::kRows, end - i);
+                        for (std::size_t r = 0; r < blk.rows; ++r) {
+                            blk.c[r] = dx.row(rows[i + r]);
+                            std::fill_n(blk.c[r], in_dim, 0.0f);
+                        }
+                        for (std::uint32_t k0 = 0; k0 < dim_k;
+                             k0 += FoldBlock::kTerms) {
+                            const std::uint32_t k1 = std::min<std::uint32_t>(
+                                dim_k, k0 + FoldBlock::kTerms);
+                            for (std::size_t r = 0; r < blk.rows; ++r) {
+                                const NodeId row =
+                                    static_cast<NodeId>(rows[i + r]);
+                                const Float *data = ds.dataRow(row);
+                                for (std::uint32_t kk = k0; kk < k1; ++kk)
+                                    blk.add<false>(
+                                        r, data[kk],
+                                        wt.row(ds.indexAt(row, kk)));
+                            }
+                            blk.fold(in_dim);
                         }
                     }
                 });

@@ -47,7 +47,10 @@ namespace maxk
  * gemmTransA): x is (N x in), ds is CBSR over the out dimension, dw is
  * resized to (in x out). Row-parallel over the input dimension (each
  * worker owns whole dw rows), bitwise-deterministic at any thread
- * count.
+ * count. Per adjacency row, the worker's nonzero x entries are
+ * compacted into a list first (the write index advances by x != 0),
+ * and only they scatter their k products: a ±0 x entry is skipped as
+ * in gemmTransA, without a branch on it.
  */
 void cbsrGemmTransA(const Matrix &x, const CbsrMatrix &ds, Matrix &dw,
                     RowSet rows = {});
@@ -61,9 +64,10 @@ void cbsrColumnSums(const CbsrMatrix &ds, Matrix &out, RowSet rows = {});
  * shaped (N x in) and only its listed rows are written.
  * A row-wise product (the host analogue of the paper's row-wise
  * SpGEMM): w^T is written once into the caller-owned workspace `wt`
- * (out x in, reused when its element count matches), then each of a
- * gradient row's k values scales one contiguous w^T row into that row
- * of dx. Every term folds, zeros included, as in gemmTransB.
+ * (out x in, reused when its element count matches); a gradient row's
+ * k CBSR entries are its term list for the GEMMs' register-panel fold
+ * (tensor/fold.hh), each value scaling one contiguous w^T row into
+ * that row of dx. Every term folds, zeros included, as in gemmTransB.
  * Row-parallel over N, bitwise-deterministic at any thread count.
  */
 void cbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &wt,

@@ -127,22 +127,24 @@ CsrGraph::setAggregatorWeights(Aggregator agg)
         break;
       case Aggregator::Gcn: {
         // In-degree equals out-degree only for symmetric structure; compute
-        // in-degrees explicitly so directed graphs are handled too.
-        std::vector<EdgeId> in_deg(numNodes_, 0);
+        // in-degrees explicitly so directed graphs are handled too, into
+        // storage the graph keeps, so a reused graph stops allocating.
+        inDegree_.assign(numNodes_, 0);
         for (NodeId c : colIdx_)
-            ++in_deg[c];
+            ++inDegree_[c];
         for (NodeId v = 0; v < numNodes_; ++v) {
             const EdgeId d_i = degree(v);
             if (d_i == 0)
                 continue;
             for (EdgeId e = rowPtr_[v]; e < rowPtr_[v + 1]; ++e) {
-                const EdgeId d_j = in_deg[colIdx_[e]];
+                const EdgeId d_j = inDegree_[colIdx_[e]];
                 values_[e] = d_j == 0
                     ? 0.0f
                     : 1.0f / std::sqrt(static_cast<Float>(d_i) *
                                        static_cast<Float>(d_j));
             }
         }
+        inDegree_.clear(); // keeps the capacity; a graph copy gets none
         break;
       }
     }

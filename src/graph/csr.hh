@@ -181,6 +181,9 @@ class CsrGraph
     std::vector<EdgeId> rowPtr_{0};
     std::vector<NodeId> colIdx_;
     std::vector<Float> values_;
+    /** setAggregatorWeights(Gcn)'s in-degree count, empty between calls
+     *  (only its capacity is kept). */
+    std::vector<EdgeId> inDegree_;
     mutable std::shared_ptr<const CsrGraph> transposeCache_;
     mutable std::size_t transposeBuilds_ = 0;
     mutable std::shared_ptr<const EdgeGroupPartition> egCache_;

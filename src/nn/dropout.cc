@@ -1,10 +1,28 @@
 #include "nn/dropout.hh"
 
+#include <cstring>
+
 #include "common/logging.hh"
 #include "tensor/ops.hh"
 
 namespace maxk::nn
 {
+
+namespace
+{
+
+/** v where keep is 1, +0 where it is 0: a bit-and, not a branch. */
+inline Float
+keepOrZero(std::uint8_t keep, Float v)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    bits &= 0u - keep;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+} // namespace
 
 void
 Dropout::forward(const Matrix &x, Matrix &y, bool training, Rng &rng,
@@ -17,21 +35,16 @@ Dropout::forward(const Matrix &x, Matrix &y, bool training, Rng &rng,
         return;
     }
     mask_.resize(x.size());
+    rng.keepMask(p_, mask_.data(), mask_.size());
     const Float scale = 1.0f / (1.0f - p_);
     const std::size_t n = x.cols();
-    const std::size_t listed = rows.size(x.rows());
-    std::size_t next = 0;
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        std::uint8_t *m = mask_.data() + r * n;
-        for (std::size_t c = 0; c < n; ++c)
-            m[c] = rng.bernoulli(p_) ? 0 : 1;
-        if (next == listed || rows[next] != r)
-            continue;
-        ++next;
+    for (std::size_t i = 0; i < rows.size(x.rows()); ++i) {
+        const std::size_t r = rows[i];
+        const std::uint8_t *m = mask_.data() + r * n;
         const Float *px = x.row(r);
         Float *py = y.row(r);
         for (std::size_t c = 0; c < n; ++c)
-            py[c] = m[c] ? px[c] * scale : 0.0f;
+            py[c] = keepOrZero(m[c], px[c] * scale);
     }
 }
 
@@ -53,7 +66,7 @@ Dropout::backward(const Matrix &dy, Matrix &dx, RowSet rows) const
         const Float *pdy = dy.row(r);
         Float *pdx = dx.row(r);
         for (std::size_t c = 0; c < n; ++c)
-            pdx[c] = m[c] ? pdy[c] * scale : 0.0f;
+            pdx[c] = keepOrZero(m[c], pdy[c] * scale);
     }
 }
 

@@ -1,10 +1,14 @@
 #include "tensor/ops.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "tensor/fold.hh"
 
 namespace maxk
 {
@@ -17,85 +21,111 @@ constexpr std::size_t kRowGrain = 16;
 /** Output-row chunk grain of gemmTransA: its rows are the input
  *  dimension, as in cbsrGemmTransA. */
 constexpr std::size_t kColGrain = 8;
-/** C rows one micro-kernel call updates. */
-constexpr std::size_t kBlock = 4;
+
+/** Four floats of an SSE register (GCC vector extension): the default
+ *  x86-64 build has SSE2, and the panel's arithmetic stays one
+ *  multiply and one add per element. */
+typedef Float Lanes __attribute__((vector_size(16)));
+constexpr std::size_t kLanes = 4;
+/** Accumulator registers of a full panel: 32 columns. */
+constexpr std::size_t kPanelVecs = 8;
+constexpr std::size_t kPanelCols = kPanelVecs * kLanes;
+
+inline Lanes
+loadLanes(const Float *p)
+{
+    Lanes v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+inline void
+storeLanes(Float *p, Lanes v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
 
 /**
- * The row-update micro-kernel: c[r][j] += s[r] * b[j] for r < R and
- * j < n, one product per element, so a sequence of calls folds each
- * element's products in call order. The rows of c and b must not
- * overlap; ivdep tells GCC so, and it vectorises the column loop at
- * -O3 (the row loop is unrolled so -O2 keeps the scalars in registers).
+ * Fold a term list into the columns [j, j + V * 4 + S) of one C row:
+ * V vector and S scalar accumulators, each its own add chain, loaded
+ * from C, updated once per term in list order, stored back.
  */
-template <std::size_t R>
+template <std::size_t V, std::size_t S>
 void
-rowUpdate(Float *const *c, const Float *s, const Float *b, std::size_t n)
+foldPanel(Float *c, const Float *value, const Float *const *b,
+          std::size_t count, std::size_t j)
 {
-#pragma GCC ivdep
-    for (std::size_t j = 0; j < n; ++j) {
-        const Float bj = b[j];
+    Lanes acc[V > 0 ? V : 1];
+    Float tail[S > 0 ? S : 1];
+    Float *cj = c + j;
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v)
+        acc[v] = loadLanes(cj + v * kLanes);
 #pragma GCC unroll 4
-        for (std::size_t r = 0; r < R; ++r)
-            c[r][j] += s[r] * bj;
+    for (std::size_t s = 0; s < S; ++s)
+        tail[s] = cj[V * kLanes + s];
+    for (std::size_t t = 0; t < count; ++t) {
+        const Float a = value[t];
+        const Lanes av = {a, a, a, a};
+        const Float *bj = b[t] + j;
+#pragma GCC unroll 8
+        for (std::size_t v = 0; v < V; ++v)
+            acc[v] += av * loadLanes(bj + v * kLanes);
+#pragma GCC unroll 4
+        for (std::size_t s = 0; s < S; ++s)
+            tail[s] += a * bj[V * kLanes + s];
     }
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v)
+        storeLanes(cj + v * kLanes, acc[v]);
+#pragma GCC unroll 4
+    for (std::size_t s = 0; s < S; ++s)
+        cj[V * kLanes + s] = tail[s];
 }
 
-/**
- * The C rows crow[0, rows) (rows <= kBlock) += s[r] * b. With SkipZero
- * a row whose scalar is ±0 takes no product at all: adding its ±0
- * products could still fold 0 * inf = NaN or turn a -0 element into
- * +0. The remaining rows share one pass over b.
- */
-template <bool SkipZero>
-void
-blockUpdate(Float *const *crow, std::size_t rows, const Float *s,
-            const Float *b, std::size_t n)
+using PanelFn = void (*)(Float *, const Float *, const Float *const *,
+                         std::size_t, std::size_t);
+
+template <std::size_t... W>
+constexpr std::array<PanelFn, sizeof...(W)>
+lastPanels(std::index_sequence<W...>)
 {
-    Float *live_rows[kBlock];
-    Float live_s[kBlock];
-    std::size_t live = 0;
-    for (std::size_t r = 0; r < rows; ++r) {
-        if (SkipZero && s[r] == 0.0f)
-            continue;
-        live_rows[live] = crow[r];
-        live_s[live] = s[r];
-        ++live;
-    }
-    switch (live) {
-      case 4: rowUpdate<4>(live_rows, live_s, b, n); break;
-      case 3: rowUpdate<3>(live_rows, live_s, b, n); break;
-      case 2: rowUpdate<2>(live_rows, live_s, b, n); break;
-      case 1: rowUpdate<1>(live_rows, live_s, b, n); break;
-      default: break;
-    }
+    return {&foldPanel<W / kLanes, W % kLanes>...};
 }
 
+/** The last panel of a row by its width w < kPanelCols + kLanes:
+ *  w / 4 vectors and w % 4 scalars, so no tail is a single chain. */
+constexpr auto kLastPanel =
+    lastPanels(std::make_index_sequence<kPanelCols + kLanes>{});
+
 /**
- * C += A * B over the C rows of `rows` in blocks of kBlock, row-parallel:
- * each C row folds a(i, p) * b.row(p) for p ascending. Which rows share
- * a block never changes a row's fold.
+ * C += A * B (SkipZero: gemmAccum) or C += A * bt with every term
+ * (gemmTransB) over the C rows of `rows`, row-parallel: each C row
+ * folds a(i, p) * b.row(p) for p ascending. Which rows share a block
+ * never changes a row's fold.
  */
 template <bool SkipZero>
 void
-rowBlockedGemm(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
+rowFoldGemm(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
 {
     const std::size_t k = a.cols();
     parallelFor(0, rows.size(c.rows()), kRowGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
-                    Float *crow[kBlock];
-                    const Float *arow[kBlock];
-                    Float s[kBlock];
-                    for (std::size_t i = begin; i < end; i += kBlock) {
-                        const std::size_t m = std::min(kBlock, end - i);
-                        for (std::size_t r = 0; r < m; ++r) {
-                            crow[r] = c.row(rows[i + r]);
-                            arow[r] = a.row(rows[i + r]);
-                        }
-                        for (std::size_t p = 0; p < k; ++p) {
-                            for (std::size_t r = 0; r < m; ++r)
-                                s[r] = arow[r][p];
-                            blockUpdate<SkipZero>(crow, m, s, b.row(p),
-                                                  c.cols());
+                    FoldBlock blk;
+                    for (std::size_t i = begin; i < end;
+                         i += FoldBlock::kRows) {
+                        blk.rows = std::min(FoldBlock::kRows, end - i);
+                        for (std::size_t p0 = 0; p0 < k;
+                             p0 += FoldBlock::kTerms) {
+                            const std::size_t p1 =
+                                std::min(k, p0 + FoldBlock::kTerms);
+                            for (std::size_t r = 0; r < blk.rows; ++r) {
+                                blk.c[r] = c.row(rows[i + r]);
+                                const Float *arow = a.row(rows[i + r]);
+                                for (std::size_t p = p0; p < p1; ++p)
+                                    blk.add<SkipZero>(r, arow[p], b.row(p));
+                            }
+                            blk.fold(c.cols());
                         }
                     }
                 });
@@ -113,6 +143,22 @@ shapeAndZeroRows(Matrix &c, std::size_t m, std::size_t n, RowSet rows)
 } // namespace
 
 void
+FoldBlock::fold(std::size_t n)
+{
+    // Panel outer, rows inner: each B panel is read from L1 by every
+    // row of the block.
+    std::size_t j = 0;
+    for (; n - j >= kPanelCols + kLanes; j += kPanelCols)
+        for (std::size_t r = 0; r < rows; ++r)
+            foldPanel<kPanelVecs, 0>(c[r], value[r], b[r], count[r], j);
+    const PanelFn last = kLastPanel[n - j];
+    for (std::size_t r = 0; r < rows; ++r) {
+        last(c[r], value[r], b[r], count[r], j);
+        count[r] = 0;
+    }
+}
+
+void
 gemm(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
 {
     shapeAndZeroRows(c, a.rows(), b.cols(), rows);
@@ -125,7 +171,7 @@ gemmAccum(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
     checkInvariant(a.cols() == b.rows(), "gemm: inner dimension mismatch");
     checkInvariant(c.rows() == a.rows() && c.cols() == b.cols(),
                    "gemm: output shape mismatch");
-    rowBlockedGemm<true>(a, b, c, rows);
+    rowFoldGemm<true>(a, b, c, rows);
 }
 
 void
@@ -134,20 +180,29 @@ gemmTransA(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
     checkInvariant(a.rows() == b.rows(), "gemmTransA: row count mismatch");
     c.resize(a.cols(), b.cols());
     const std::size_t k = rows.size(a.rows());
-    // Worker t owns C rows [begin, end) and sweeps every listed A/B row
-    // in ascending order, so each element folds its products in p order.
+    // Worker t owns C rows [begin, end). The listed rows are the terms:
+    // each block of them is read down A's columns (no transpose) into
+    // every C row's list, so each element folds its products in
+    // ascending row order.
     parallelFor(0, c.rows(), kColGrain,
                 [&](std::uint32_t, std::size_t begin, std::size_t end) {
-                    Float *crow[kBlock];
-                    for (std::size_t t = 0; t < k; ++t) {
-                        const Float *arow = a.row(rows[t]);
-                        const Float *brow = b.row(rows[t]);
-                        for (std::size_t i = begin; i < end; i += kBlock) {
-                            const std::size_t m = std::min(kBlock, end - i);
-                            for (std::size_t r = 0; r < m; ++r)
-                                crow[r] = c.row(i + r);
-                            blockUpdate<true>(crow, m, arow + i, brow,
-                                              c.cols());
+                    FoldBlock blk;
+                    for (std::size_t t0 = 0; t0 < k;
+                         t0 += FoldBlock::kTerms) {
+                        const std::size_t t1 =
+                            std::min(k, t0 + FoldBlock::kTerms);
+                        for (std::size_t i = begin; i < end;
+                             i += FoldBlock::kRows) {
+                            blk.rows = std::min(FoldBlock::kRows, end - i);
+                            for (std::size_t r = 0; r < blk.rows; ++r)
+                                blk.c[r] = c.row(i + r);
+                            for (std::size_t t = t0; t < t1; ++t) {
+                                const Float *acol = a.row(rows[t]) + i;
+                                const Float *brow = b.row(rows[t]);
+                                for (std::size_t r = 0; r < blk.rows; ++r)
+                                    blk.add<true>(r, acol[r], brow);
+                            }
+                            blk.fold(c.cols());
                         }
                     }
                 });
@@ -161,7 +216,7 @@ gemmTransB(const Matrix &a, const Matrix &b, Matrix &bt, Matrix &c,
     transpose(b, bt);
     shapeAndZeroRows(c, a.rows(), b.rows(), rows);
     // No zero skip: C(i, j) is a plain dot product, so 0 * inf = NaN.
-    rowBlockedGemm<false>(a, bt, c, rows);
+    rowFoldGemm<false>(a, bt, c, rows);
 }
 
 void
@@ -294,8 +349,11 @@ reluBackward(const Matrix &input, const Matrix &gradOut, Matrix &gradIn,
         const Float *pi = input.row(rows[i]);
         const Float *pg = gradOut.row(rows[i]);
         Float *po = gradIn.row(rows[i]);
-        for (std::size_t j = 0; j < n; ++j)
-            po[j] = pi[j] > 0.0f ? pg[j] : 0.0f;
+        // Load the gradient unconditionally: a select, not a branch.
+        for (std::size_t j = 0; j < n; ++j) {
+            const Float g = pg[j];
+            po[j] = pi[j] > 0.0f ? g : 0.0f;
+        }
     }
 }
 

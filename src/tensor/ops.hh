@@ -6,13 +6,20 @@
  * and all autograd math.
  *
  * The GEMMs are row-parallel on the shared pool (common/parallel.hh) and
- * share one micro-kernel that adds scalar multiples of one contiguous B
- * row to up to four C rows; its column loop vectorises. Each output
+ * share one register-panel fold (tensor/fold.hh): each C row gets a
+ * list of terms, a scalar and a contiguous B row each, and the fold
+ * adds them into 32 columns at a time held in SSE registers (GCC
+ * vector extension; no -march, no FMA). A kernel that skips zero A
+ * terms compacts them out of the list, advancing the write index by
+ * a != 0, instead of branching on each one. Bitwise means: each output
  * element still takes exactly the products of the textbook loop, one
  * multiply and one add each, in ascending inner-index order, starting
- * from the value C held on entry. No product is fused, reassociated or
- * split across workers, so results are bitwise identical at any
- * MAXK_THREADS. Output and workspace arguments must not alias an input.
+ * from the value C held on entry, skipping exactly the terms the loop
+ * skipped. No product is fused, reassociated or split across workers,
+ * and row, term and column blocking never reorders an element's fold,
+ * so results equal the serial loops (tests/support/oracles.hh) bit for
+ * bit at any MAXK_THREADS. Output and workspace arguments must not
+ * alias an input.
  *
  * The row-wise kernels take an optional RowSet (tensor/row_set.hh): by
  * default every row, otherwise only the listed rows of the output are
@@ -48,7 +55,8 @@ void gemmAccum(const Matrix &a, const Matrix &b, Matrix &c,
  * C = A^T * B over the rows of `rows`. A: k x m, B: k x n, C resized to
  * m x n. C(i, j) folds a(p, i) * b(p, j) for the listed p ascending
  * from +0; a ±0 a(p, i) is skipped as in gemmAccum. Parallel over C
- * rows: every worker sweeps all listed rows of A and B. Leaving out a
+ * rows: every worker reads its columns of A down all listed rows (no
+ * transpose) into its rows' term lists. Leaving out a
  * row whose B row is all ±0 leaves C bitwise unchanged as long as that
  * row of A is finite: its terms are skipped or add ±0 to an
  * accumulator that started at +0, which never becomes -0.
@@ -63,7 +71,8 @@ void gemmTransA(const Matrix &a, const Matrix &b, Matrix &c,
  * like a plain dot product: a zero a(i, p) opposite an inf in B makes
  * C(i, j) NaN. B^T is written into the caller-owned workspace `bt`
  * (resized to k x n; reused without reallocation when its element
- * count already matches), and the product runs as row updates over it.
+ * count already matches), and the product runs as the fold over its
+ * rows, with every term listed.
  */
 void gemmTransB(const Matrix &a, const Matrix &b, Matrix &bt, Matrix &c,
                 RowSet rows = {});

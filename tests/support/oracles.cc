@@ -50,13 +50,14 @@ sspmmOracle(const CsrGraph &g, const Matrix &dxl, Matrix &dense)
 }
 
 void
-referenceGemmAccum(const Matrix &a, const Matrix &b, Matrix &c)
+referenceGemmAccum(const Matrix &a, const Matrix &b, Matrix &c, RowSet rows)
 {
     checkInvariant(a.cols() == b.rows(), "gemm: inner dimension mismatch");
     checkInvariant(c.rows() == a.rows() && c.cols() == b.cols(),
                    "gemm: output shape mismatch");
-    const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-    for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t k = a.cols(), n = b.cols();
+    for (std::size_t t = 0; t < rows.size(a.rows()); ++t) {
+        const std::size_t i = rows[t];
         const Float *arow = a.row(i);
         Float *crow = c.row(i);
         for (std::size_t p = 0; p < k; ++p) {
@@ -71,14 +72,15 @@ referenceGemmAccum(const Matrix &a, const Matrix &b, Matrix &c)
 }
 
 void
-referenceGemmTransA(const Matrix &a, const Matrix &b, Matrix &c)
+referenceGemmTransA(const Matrix &a, const Matrix &b, Matrix &c,
+                    RowSet rows)
 {
     checkInvariant(a.rows() == b.rows(), "gemmTransA: row count mismatch");
     c.resize(a.cols(), b.cols());
-    const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-    for (std::size_t p = 0; p < k; ++p) {
-        const Float *arow = a.row(p);
-        const Float *brow = b.row(p);
+    const std::size_t m = a.cols(), n = b.cols();
+    for (std::size_t t = 0; t < rows.size(a.rows()); ++t) {
+        const Float *arow = a.row(rows[t]);
+        const Float *brow = b.row(rows[t]);
         for (std::size_t i = 0; i < m; ++i) {
             const Float av = arow[i];
             if (av == 0.0f)
@@ -91,14 +93,17 @@ referenceGemmTransA(const Matrix &a, const Matrix &b, Matrix &c)
 }
 
 void
-referenceGemmTransB(const Matrix &a, const Matrix &b, Matrix &c)
+referenceGemmTransB(const Matrix &a, const Matrix &b, Matrix &c,
+                    RowSet rows)
 {
     checkInvariant(a.cols() == b.cols(), "gemmTransB: col count mismatch");
-    c.resize(a.rows(), b.rows());
-    const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-    for (std::size_t i = 0; i < m; ++i) {
+    c.ensureShape(a.rows(), b.rows());
+    const std::size_t k = a.cols(), n = b.rows();
+    for (std::size_t t = 0; t < rows.size(a.rows()); ++t) {
+        const std::size_t i = rows[t];
         const Float *arow = a.row(i);
         Float *crow = c.row(i);
+        std::fill_n(crow, n, 0.0f);
         for (std::size_t j = 0; j < n; ++j) {
             const Float *brow = b.row(j);
             Float acc = 0.0f;
@@ -110,18 +115,19 @@ referenceGemmTransB(const Matrix &a, const Matrix &b, Matrix &c)
 }
 
 void
-referenceCbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &dx)
+referenceCbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w, Matrix &dx,
+                        RowSet rows)
 {
     checkInvariant(ds.dimOrigin() == w.cols(),
                    "cbsrGemmTransB: col count mismatch");
     const std::size_t in_dim = w.rows();
     const std::uint32_t dim_k = ds.dimK();
     dx.ensureShape(ds.rows(), in_dim);
-    dx.setZero();
-    for (std::size_t r = 0; r < ds.rows(); ++r) {
-        const NodeId row = static_cast<NodeId>(r);
+    for (std::size_t t = 0; t < rows.size(ds.rows()); ++t) {
+        const NodeId row = static_cast<NodeId>(rows[t]);
         const Float *data = ds.dataRow(row);
-        Float *drow = dx.row(r);
+        Float *drow = dx.row(row);
+        std::fill_n(drow, in_dim, 0.0f);
         for (std::size_t i = 0; i < in_dim; ++i) {
             const Float *wrow = w.row(i);
             Float acc = 0.0f;

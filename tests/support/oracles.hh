@@ -17,6 +17,7 @@
 #include "core/cbsr.hh"
 #include "graph/csr.hh"
 #include "tensor/matrix.hh"
+#include "tensor/row_set.hh"
 
 namespace maxk::test
 {
@@ -38,19 +39,27 @@ void spgemmOracle(const CsrGraph &g, const CbsrMatrix &h, Matrix &y);
  *  gathered at the CBSR pattern by the caller's comparator. */
 void sspmmOracle(const CsrGraph &g, const Matrix &dxl, Matrix &dense);
 
-/** Serial ikj C += A * B, skipping ±0 A terms (gemmAccum's contract). */
-void referenceGemmAccum(const Matrix &a, const Matrix &b, Matrix &c);
+/** Serial ikj C += A * B over the C rows of `rows`, skipping ±0 A
+ *  terms (gemmAccum's contract). */
+void referenceGemmAccum(const Matrix &a, const Matrix &b, Matrix &c,
+                        RowSet rows = {});
 
-/** Serial kij C = A^T * B, skipping ±0 A terms (gemmTransA's). */
-void referenceGemmTransA(const Matrix &a, const Matrix &b, Matrix &c);
+/** Serial kij C = A^T * B over the rows of `rows` of A and B, skipping
+ *  ±0 A terms (gemmTransA's). */
+void referenceGemmTransA(const Matrix &a, const Matrix &b, Matrix &c,
+                         RowSet rows = {});
 
-/** Serial dot-product C = A * B^T with no skip (gemmTransB's). */
-void referenceGemmTransB(const Matrix &a, const Matrix &b, Matrix &c);
+/** Serial dot-product C = A * B^T with no skip on the C rows of `rows`
+ *  (gemmTransB's); C is shaped with ensureShape, so unlisted rows keep
+ *  their contents when the shape already matches. */
+void referenceGemmTransB(const Matrix &a, const Matrix &b, Matrix &c,
+                         RowSet rows = {});
 
 /** Serial dot product over the gathered w.row(i)[sp_index]:
- *  dx = scatter(ds) * w^T (cbsrGemmTransB's contract). */
+ *  dx = scatter(ds) * w^T on the rows of `rows` (cbsrGemmTransB's
+ *  contract), unlisted rows kept as referenceGemmTransB keeps them. */
 void referenceCbsrGemmTransB(const CbsrMatrix &ds, const Matrix &w,
-                             Matrix &dx);
+                             Matrix &dx, RowSet rows = {});
 
 } // namespace maxk::test
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -113,6 +115,70 @@ TEST(Rng, BernoulliFrequency)
     for (int i = 0; i < n; ++i)
         hits += rng.bernoulli(0.3f) ? 1 : 0;
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
+}
+
+TEST(Rng, KeepMaskIsNegatedBernoulliCallsAndSameState)
+{
+    // The bulk fill against one bernoulli(p) call per element: same
+    // values, same final generator state. The probabilities cover both
+    // ends, a rate below one draw step (1e-7 < 2^-23), a p whose p * 2^24
+    // is an exact integer (the test is strict: draw 3 is kept), values
+    // outside [0, 1] and NaN (nothing dropped, as uniform() < NaN fails).
+    const Float ps[] = {0.0f,  1e-7f, 0.1f,  0.5f,
+                        0.9f,  1.0f,  3.0f / 16777216.0f,
+                        -0.5f, 2.0f,  std::nanf("")};
+    for (const Float p : ps)
+        for (const std::size_t n : {1u, 7u, 4097u}) {
+            Rng fill(41), calls(41);
+            std::vector<std::uint8_t> mask(n, 7);
+            fill.keepMask(p, mask.data(), n);
+            std::size_t mismatches = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                mismatches += mask[i] != (calls.bernoulli(p) ? 0 : 1);
+            EXPECT_EQ(mismatches, 0u) << "p=" << p << " n=" << n;
+            std::uint64_t a[4], b[4];
+            fill.stateWords(a);
+            calls.stateWords(b);
+            for (int w = 0; w < 4; ++w)
+                EXPECT_EQ(a[w], b[w]) << "p=" << p << " n=" << n;
+        }
+}
+
+/** Inverse of an odd x modulo 2^64 (Newton's iteration). */
+std::uint64_t
+oddInverse(std::uint64_t x)
+{
+    std::uint64_t inv = x; // right to 3 bits for any odd x
+    for (int i = 0; i < 5; ++i)
+        inv *= 2 - x * inv;
+    return inv;
+}
+
+TEST(Rng, KeepMaskMatchesBernoulliAtTheThreshold)
+{
+    // A random stream reaches the draw m = ceil(p * 2^24) only once in
+    // 2^24 trials, so craft it: xoshiro256**'s output depends only on
+    // state word 1 (rotl(s1 * 5, 7) * 9), which inverts. The draws just
+    // below, at and above the threshold must agree with bernoulli(p).
+    for (const Float p : {0.5f, 0.1f, 3.0f / 16777216.0f}) {
+        const auto drop = static_cast<std::uint64_t>(
+            std::ceil(static_cast<double>(p) * 16777216.0));
+        for (const std::uint64_t m : {drop - 1, drop, drop + 1}) {
+            const std::uint64_t r = (m << 40) * oddInverse(9);
+            const std::uint64_t s1 =
+                ((r >> 7) | (r << 57)) * oddInverse(5);
+            const std::uint64_t words[4] = {11, s1, 13, 17};
+            Rng fill, call;
+            fill.setStateWords(words);
+            call.setStateWords(words);
+            ASSERT_EQ(call.next() >> 40, m);
+            call.setStateWords(words);
+            std::uint8_t keep = 7;
+            fill.keepMask(p, &keep, 1);
+            EXPECT_EQ(keep, call.bernoulli(p) ? 0 : 1)
+                << "p=" << p << " m=" << m;
+        }
+    }
 }
 
 TEST(Rng, ForkedStreamsIndependent)

@@ -36,6 +36,7 @@
 #include "support/fixtures.hh"
 #include "support/heap_counter.hh"
 #include "support/oracles.hh"
+#include "tensor/fold.hh"
 #include "tensor/init.hh"
 #include "tensor/ops.hh"
 
@@ -534,12 +535,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 /* ---------------------------------------------- GEMM determinism ----- */
 
-/** C is rows x cols; the inner (folded) dimension is inner. */
+/** C is rows x cols; the inner (folded) dimension is inner. With
+ *  dropout the A operands are dropout-like: half their entries zero. */
 struct GemmShape
 {
     std::size_t rows;
     std::size_t inner;
     std::size_t cols;
+    bool dropout = false;
 };
 
 std::string
@@ -547,7 +550,7 @@ gemmShapeName(const ::testing::TestParamInfo<GemmShape> &info)
 {
     const GemmShape &s = info.param;
     return "m" + std::to_string(s.rows) + "_k" + std::to_string(s.inner) +
-           "_n" + std::to_string(s.cols);
+           "_n" + std::to_string(s.cols) + (s.dropout ? "_dropout" : "");
 }
 
 /**
@@ -582,6 +585,20 @@ gemmOperand(std::size_t rows, std::size_t cols, std::uint64_t seed)
     return m;
 }
 
+/** A layer input after dropout 0.5: each entry +0 with probability 1/2,
+ *  the rest doubled, so the zero skip is taken unpredictably. */
+Matrix
+dropoutOperand(std::size_t rows, std::size_t cols, std::uint64_t seed)
+{
+    Matrix m(rows, cols);
+    Rng rng(seed);
+    fillNormal(m, rng, 0.0f, 1.0f);
+    Float *p = m.data();
+    for (std::size_t i = 0; i < m.size(); ++i)
+        p[i] = rng.bernoulli(0.5f) ? 0.0f : 2.0f * p[i];
+    return m;
+}
+
 /** A CBSR gradient over `origin` columns whose k values per row are
  *  src's entries at ascending, evenly strided columns. */
 CbsrMatrix
@@ -599,6 +616,40 @@ gemmCbsrOperand(const Matrix &src, std::uint32_t k)
     return ds;
 }
 
+/** Every operand of one GemmThreadSweep shape. */
+struct GemmOperands
+{
+    explicit GemmOperands(const GemmShape &s)
+        : a(aOperand(s, s.rows, s.inner, 1)),        // m x k
+          b(gemmOperand(s.inner, s.cols, 2)),        // k x n
+          at(aOperand(s, s.inner, s.rows, 3)),       // k x m
+          bt(gemmOperand(s.cols, s.inner, 4)),       // n x k
+          cEntry(gemmOperand(s.rows, s.cols, 5)),
+          x(aOperand(s, s.rows, s.cols, 6)),         // m x n
+          // Every column once an inner dimension is long enough to
+          // need several term lists, so the CBSR rows do too.
+          ds(gemmCbsrOperand(a, static_cast<std::uint32_t>(
+                                    s.inner > FoldBlock::kTerms
+                                        ? s.inner
+                                        : std::min<std::size_t>(s.inner,
+                                                                8))))
+    {
+        ds.decompress(dsDense);
+    }
+
+    static Matrix
+    aOperand(const GemmShape &s, std::size_t rows, std::size_t cols,
+             std::uint64_t seed)
+    {
+        return s.dropout ? dropoutOperand(rows, cols, seed)
+                         : gemmOperand(rows, cols, seed);
+    }
+
+    Matrix a, b, at, bt, cEntry, x;
+    CbsrMatrix ds;
+    Matrix dsDense;
+};
+
 class GemmThreadSweep : public ::testing::TestWithParam<GemmShape>
 {
 };
@@ -607,56 +658,101 @@ class GemmThreadSweep : public ::testing::TestWithParam<GemmShape>
  * The blocked, row-parallel GEMMs and the CBSR linear backward against
  * the serial loops that define them (tests/support/oracles.hh):
  * bit-identical output, -0 signs included, at every worker count. Row
- * counts cover every remainder mod the 4-row block, and counts below
- * the row grain.
+ * counts fall on and off the 16-row block (tensor/fold.hh) and below
+ * the row grain; inner dimensions cross the 128-term list; column
+ * counts cover every kind of tail of the 32-column register panel.
  */
 TEST_P(GemmThreadSweep, BitwiseMatchesSerialLoops)
 {
     ThreadGuard guard;
     const GemmShape s = GetParam();
-    const Matrix a = gemmOperand(s.rows, s.inner, 1);   // m x k
-    const Matrix b = gemmOperand(s.inner, s.cols, 2);   // k x n
-    const Matrix at = gemmOperand(s.inner, s.rows, 3);  // k x m
-    const Matrix bt = gemmOperand(s.cols, s.inner, 4);  // n x k
-    const Matrix c_entry = gemmOperand(s.rows, s.cols, 5);
-    const Matrix x = gemmOperand(s.rows, s.cols, 6);    // m x n
-    const CbsrMatrix ds = gemmCbsrOperand(
-        a, static_cast<std::uint32_t>(std::min<std::size_t>(s.inner, 8)));
-    Matrix ds_dense;
-    ds.decompress(ds_dense);
+    const GemmOperands op(s);
 
-    Matrix want_accum = c_entry;
-    test::referenceGemmAccum(a, b, want_accum);
+    Matrix want_accum = op.cEntry;
+    test::referenceGemmAccum(op.a, op.b, want_accum);
     Matrix want_gemm(s.rows, s.cols);
-    test::referenceGemmAccum(a, b, want_gemm);
+    test::referenceGemmAccum(op.a, op.b, want_gemm);
     Matrix want_ta, want_tb, want_cbsr, want_cbsr_ta;
-    test::referenceGemmTransA(at, b, want_ta);
-    test::referenceGemmTransB(a, bt, want_tb);
-    test::referenceCbsrGemmTransB(ds, bt, want_cbsr);
+    test::referenceGemmTransA(op.at, op.b, want_ta);
+    test::referenceGemmTransB(op.a, op.bt, want_tb);
+    test::referenceCbsrGemmTransB(op.ds, op.bt, want_cbsr);
     // cbsrGemmTransA's contract: gemmTransA over the decompressed rows.
-    test::referenceGemmTransA(x, ds_dense, want_cbsr_ta);
+    test::referenceGemmTransA(op.x, op.dsDense, want_cbsr_ta);
 
     Matrix c, workspace;
     for (std::uint32_t t : kThreadSweep) {
         setDefaultThreads(t);
-        c = c_entry;
-        gemmAccum(a, b, c);
+        c = op.cEntry;
+        gemmAccum(op.a, op.b, c);
         EXPECT_TRUE(c.equals(want_accum)) << t;
         EXPECT_TRUE(test::matricesBitwise(c, want_accum)) << t;
-        gemm(a, b, c);
+        gemm(op.a, op.b, c);
         EXPECT_TRUE(c.equals(want_gemm)) << t;
         EXPECT_TRUE(test::matricesBitwise(c, want_gemm)) << t;
-        gemmTransA(at, b, c);
+        gemmTransA(op.at, op.b, c);
         EXPECT_TRUE(c.equals(want_ta)) << t;
         EXPECT_TRUE(test::matricesBitwise(c, want_ta)) << t;
-        gemmTransB(a, bt, workspace, c);
+        gemmTransB(op.a, op.bt, workspace, c);
         EXPECT_TRUE(c.equals(want_tb)) << t;
         EXPECT_TRUE(test::matricesBitwise(c, want_tb)) << t;
-        cbsrGemmTransB(ds, bt, workspace, c);
+        cbsrGemmTransB(op.ds, op.bt, workspace, c);
         EXPECT_TRUE(c.equals(want_cbsr)) << t;
         EXPECT_TRUE(test::matricesBitwise(c, want_cbsr)) << t;
-        cbsrGemmTransA(x, ds, c);
+        cbsrGemmTransA(op.x, op.ds, c);
         EXPECT_TRUE(c.equals(want_cbsr_ta)) << t;
+        EXPECT_TRUE(test::matricesBitwise(c, want_cbsr_ta)) << t;
+    }
+}
+
+/** Rows r of [0, n) with r % 3 != 1: gaps everywhere, both ends kept. */
+std::vector<NodeId>
+everyOtherThird(std::size_t n)
+{
+    std::vector<NodeId> ids;
+    for (std::size_t r = 0; r < n; ++r)
+        if (r % 3 != 1 || r + 1 == n)
+            ids.push_back(static_cast<NodeId>(r));
+    return ids;
+}
+
+/**
+ * The row-set forms against the serial loops over the same rows: the
+ * listed C rows of gemmAccum, gemmTransB and cbsrGemmTransB are bitwise
+ * the oracle's and every other row keeps its entry value; gemmTransA
+ * and cbsrGemmTransA fold only the listed terms. At every worker count.
+ */
+TEST_P(GemmThreadSweep, RowSetsMatchSerialLoops)
+{
+    ThreadGuard guard;
+    const GemmShape s = GetParam();
+    const GemmOperands op(s);
+    const std::vector<NodeId> out_rows = everyOtherThird(s.rows);
+    const std::vector<NodeId> terms = everyOtherThird(s.inner);
+
+    Matrix want_accum = op.cEntry, want_tb = op.cEntry;
+    Matrix want_cbsr = op.cEntry;
+    Matrix want_ta, want_cbsr_ta;
+    test::referenceGemmAccum(op.a, op.b, want_accum, out_rows);
+    test::referenceGemmTransA(op.at, op.b, want_ta, terms);
+    test::referenceGemmTransB(op.a, op.bt, want_tb, out_rows);
+    test::referenceCbsrGemmTransB(op.ds, op.bt, want_cbsr, out_rows);
+    test::referenceGemmTransA(op.x, op.dsDense, want_cbsr_ta, out_rows);
+
+    Matrix c, workspace;
+    for (std::uint32_t t : kThreadSweep) {
+        setDefaultThreads(t);
+        c = op.cEntry;
+        gemmAccum(op.a, op.b, c, out_rows);
+        EXPECT_TRUE(test::matricesBitwise(c, want_accum)) << t;
+        gemmTransA(op.at, op.b, c, terms);
+        EXPECT_TRUE(test::matricesBitwise(c, want_ta)) << t;
+        c = op.cEntry;
+        gemmTransB(op.a, op.bt, workspace, c, out_rows);
+        EXPECT_TRUE(test::matricesBitwise(c, want_tb)) << t;
+        c = op.cEntry;
+        cbsrGemmTransB(op.ds, op.bt, workspace, c, out_rows);
+        EXPECT_TRUE(test::matricesBitwise(c, want_cbsr)) << t;
+        cbsrGemmTransA(op.x, op.ds, c, out_rows);
         EXPECT_TRUE(test::matricesBitwise(c, want_cbsr_ta)) << t;
     }
 }
@@ -667,7 +763,16 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{3, 9, 41}, GemmShape{7, 16, 256},
                       GemmShape{13, 33, 41}, GemmShape{18, 24, 7},
                       GemmShape{67, 40, 256}, GemmShape{129, 17, 41},
-                      GemmShape{130, 64, 1}),
+                      GemmShape{130, 64, 1},
+                      // Past the row block, the term list and the panel.
+                      GemmShape{17, 129, 33}, GemmShape{33, 300, 265},
+                      GemmShape{47, 130, 9}, GemmShape{16, 128, 31},
+                      GemmShape{49, 129, 1}, GemmShape{31, 300, 7},
+                      GemmShape{35, 257, 41},
+                      // Dropout-like A operands.
+                      GemmShape{67, 256, 41, true},
+                      GemmShape{40, 300, 265, true},
+                      GemmShape{21, 64, 7, true}),
     gemmShapeName);
 
 /**

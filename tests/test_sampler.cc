@@ -630,7 +630,8 @@ TEST(MinibatchExtractor, WarmSampleAndExtractAllocateOnlyThePoolBatch)
     // worker; at four, exactly one per multi-chunk parallelFor (the
     // pool's Batch, ParallelFor.WarmLoopsAllocateOnlyThePoolBatch):
     // the draw loop of every hop whose frontier spans several chunks,
-    // and the feature gather.
+    // and the feature gather. The same for every aggregator's edge
+    // weights (GCN's count in-degrees into storage the graph keeps).
     ThreadGuard guard;
     const CsrGraph g =
         test::makeGraph(test::GraphShape::PowerLaw, 4000, 40000, 31);
@@ -642,29 +643,32 @@ TEST(MinibatchExtractor, WarmSampleAndExtractAllocateOnlyThePoolBatch)
     cfg.fanouts = {5, 5};
     cfg.batchSize = 256;
     NeighborSampler s(g, cfg);
-    MinibatchExtractor ex(s.nodeCapacity(), Aggregator::SageMean, feats,
-                          labels);
-    SampleBatch b;
-    sample::Minibatch mb;
     const std::vector<NodeId> seeds = firstSeeds(s, 0, allNodes(g), 256);
-    const auto pair = [&] {
-        s.sample(0, 0, seeds, b);
-        ex.extract(b, mb);
-    };
-    for (const std::uint32_t threads : {1u, 4u}) {
-        setDefaultThreads(threads);
-        pair(); // warm: pool workers, scratch and slot storage exist
-        std::uint64_t want = 0;
-        if (threads > 1) {
-            for (std::uint32_t h = 0; h < b.hops; ++h) {
-                const auto frontier = static_cast<std::size_t>(
-                    std::count(b.hop.begin(), b.hop.end(), h));
-                want += chunkCount(0, frontier, 64, threads) > 1 ? 1 : 0;
+    for (const Aggregator agg :
+         {Aggregator::SageMean, Aggregator::Gcn, Aggregator::Gin}) {
+        MinibatchExtractor ex(s.nodeCapacity(), agg, feats, labels);
+        SampleBatch b;
+        sample::Minibatch mb;
+        const auto pair = [&] {
+            s.sample(0, 0, seeds, b);
+            ex.extract(b, mb);
+        };
+        for (const std::uint32_t threads : {1u, 4u}) {
+            setDefaultThreads(threads);
+            pair(); // warm: pool workers, scratch and slot storage exist
+            std::uint64_t want = 0;
+            if (threads > 1) {
+                for (std::uint32_t h = 0; h < b.hops; ++h) {
+                    const auto frontier = static_cast<std::size_t>(
+                        std::count(b.hop.begin(), b.hop.end(), h));
+                    want += chunkCount(0, frontier, 64, threads) > 1 ? 1 : 0;
+                }
+                want += chunkCount(0, s.nodeCapacity(), 128, threads) > 1;
+                ASSERT_EQ(want, 3u); // every loop spans several chunks
             }
-            want += chunkCount(0, s.nodeCapacity(), 128, threads) > 1;
-            ASSERT_EQ(want, 3u); // every loop spans several chunks
+            EXPECT_EQ(test::heapAllocsOf(pair), want)
+                << static_cast<int>(agg) << ", " << threads << " workers";
         }
-        EXPECT_EQ(test::heapAllocsOf(pair), want) << threads << " workers";
     }
 }
 
